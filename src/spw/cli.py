@@ -146,19 +146,37 @@ def _load_dataset(args, mode: str) -> Dataset:
     )
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Apply values from --config JSON for options left at their defaults."""
+def _explicit_options(argv) -> set[str]:
+    """Destinations of the options given on the command line.
+
+    The arguments are parsed again with every default replaced by
+    argparse's "not given" sentinel, so an option passed with its
+    default value still counts as given.
+    """
+    parser = build_parser()
+    pending = [parser]
+    while pending:
+        p = pending.pop()
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                pending.extend(action.choices.values())
+    return set(vars(parser.parse_args(argv)))
+
+
+def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Apply values from --config JSON for options not given as flags."""
     if not getattr(args, "config", None):
         return args
     try:
         file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    defaults = {a.dest: a.default for a in parser._actions}
+    explicit = _explicit_options(argv)
     for key, value in file_values.items():
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults.get(key):
+        if key not in explicit:
             setattr(args, key, value)
     return args
 
@@ -359,7 +377,7 @@ def cmd_check(args) -> int:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("func", "parser")}
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--nu", type=float, default=1.0)
     p_est.add_argument("--basis", default="linear")
     p_est.add_argument("--level", type=float, default=0.95)
-    p_est.set_defaults(func=cmd_estimate, parser=p_est)
+    p_est.set_defaults(func=cmd_estimate)
 
     p_fpw = sub.add_parser("fpw", help="finite-sample set-estimate of a contrast")
     add_common(p_fpw)
     p_fpw.add_argument("--bounds", action="append", default=None, metavar="w=LABEL:LO,HI")
     p_fpw.add_argument("--kappa", default="-1,1")
-    p_fpw.set_defaults(func=cmd_fpw, parser=p_fpw)
+    p_fpw.set_defaults(func=cmd_fpw)
 
     p_test = sub.add_parser("test", help="finite-sample p-value bounds for weak nulls")
     add_common(p_test)
@@ -405,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--draws", type=int, default=2000)
     p_test.add_argument("--statistic", choices=("t_hat", "wmd", "ipw"), default="t_hat")
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.set_defaults(func=cmd_test, parser=p_test)
+    p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="replication study over a built-in DGP")
     add_common(p_sim, data=False)
@@ -414,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=500)
     p_sim.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.02)
     p_sim.add_argument("--estimators", default="npw,ipw")
-    p_sim.set_defaults(func=cmd_simulate, parser=p_sim)
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the residual property suite")
     p_check.add_argument("--out", default=None)
@@ -426,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSON",
         help='extra residual kind to probe, e.g. \'{"kind": "gnpw", "theta": [1,0,-2,1]}\'',
     )
-    p_check.set_defaults(func=cmd_check, parser=p_check)
+    p_check.set_defaults(func=cmd_check)
 
     return parser
 
@@ -435,7 +453,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, getattr(args, "parser", parser))
+        args = _merge_config(args, argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error (config): {exc}", file=sys.stderr)

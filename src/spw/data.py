@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,7 +68,8 @@ class Dataset:
 
     ``x`` holds dense 0-based stratum codes in finite mode, or a float
     array (n,) or (n, p) of covariates in large mode. ``x_labels`` maps
-    dense codes back to the original stratum labels.
+    dense codes back to the original stratum labels. ``from_arrays``
+    copies its inputs and stores them read-only.
     """
 
     y: np.ndarray
@@ -99,7 +101,7 @@ class Dataset:
         treatments: Iterable[int] | None = None,
         propensity: Sequence[float] | None = None,
     ) -> "Dataset":
-        y = np.asarray(y, dtype=float)
+        y = np.array(y, dtype=float)
         w = np.asarray(w)
         if y.size == 0:
             raise EmptyDataset()
@@ -126,7 +128,7 @@ class Dataset:
             dataset_x = codes.astype(np.int64)
             x_labels = labels
         elif mode == LARGE:
-            dataset_x = np.asarray(x, dtype=float)
+            dataset_x = np.array(x, dtype=float)
             flat = dataset_x.reshape(dataset_x.shape[0], -1)
             bad = ~np.all(np.isfinite(flat), axis=1)
             if np.any(bad):
@@ -136,9 +138,12 @@ class Dataset:
             raise FlavorMismatch(f"unknown dataset mode {mode!r}")
         e = None
         if propensity is not None:
-            e = np.asarray(propensity, dtype=float)
+            e = np.array(propensity, dtype=float)
             if not np.all(np.isfinite(e)):
                 raise NonFiniteValue(int(np.argmax(~np.isfinite(e))) + 1, "propensity")
+        for arr in (y, w_int, dataset_x, x_labels, e):
+            if arr is not None:
+                arr.flags.writeable = False
         return cls(
             y=y,
             w=w_int,
@@ -218,36 +223,72 @@ def load_csv(
     """
     y_col, w_col, x_col = schema
     x_cols = [x_col] if isinstance(x_col, str) else list(x_col)
+    columns = [y_col, w_col, *x_cols] + ([propensity_col] if propensity_col else [])
+    block = _read_columns(path, columns)
+    x_arr = block[:, 2] if isinstance(x_col, str) else block[:, 2 : 2 + len(x_cols)]
+    return Dataset.from_arrays(
+        block[:, 0],
+        block[:, 1],
+        x_arr,
+        mode=mode,
+        treatments=treatments,
+        propensity=block[:, -1] if propensity_col else None,
+    )
+
+
+def _read_columns(path, columns: Sequence[str]) -> np.ndarray:
+    """Parse the named columns into an (n, len(columns)) float block.
+
+    One C-level ``np.loadtxt`` pass reads the whole file. When it
+    rejects a value, finds no rows, or reads a non-finite one, the file
+    is parsed again by ``_read_rows``, which accepts exactly what
+    ``float()`` accepts and names the offending row and column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise EmptyDataset()
+        index = {name: i for i, name in enumerate(header)}  # last duplicate wins
+        for col in columns:
+            if col not in index:
+                raise MissingColumn(col)
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is handled below, not warned about.
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    usecols=[index[c] for c in columns],
+                    dtype=float,
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                )
+        except ValueError:
+            block = None
+    if block is None or block.shape[0] == 0 or not np.all(np.isfinite(block)):
+        return _read_rows(path, columns)
+    return block
+
+
+def _read_rows(path, columns: Sequence[str]) -> np.ndarray:
+    """Row-by-row parse with ``float()``; the reference for ``_read_columns``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EmptyDataset()
         header = set(reader.fieldnames)
-        for col in [y_col, w_col, *x_cols] + ([propensity_col] if propensity_col else []):
+        for col in columns:
             if col not in header:
                 raise MissingColumn(col)
         rows = list(reader)
     if not rows:
         raise EmptyDataset()
-
-    y, w, xs, e = [], [], [], []
-    for i, row in enumerate(rows, start=1):
-        y.append(_parse_float(row[y_col], i, y_col))
-        w.append(_parse_float(row[w_col], i, w_col))
-        xs.append([_parse_float(row[c], i, c) for c in x_cols])
-        if propensity_col:
-            e.append(_parse_float(row[propensity_col], i, propensity_col))
-    x_arr = np.asarray(xs, dtype=float)
-    if isinstance(x_col, str):
-        x_arr = x_arr[:, 0]
-    return Dataset.from_arrays(
-        y,
-        w,
-        x_arr,
-        mode=mode,
-        treatments=treatments,
-        propensity=e if propensity_col else None,
-    )
+    values = [
+        [_parse_float(row[c], i, c) for c in columns] for i, row in enumerate(rows, start=1)
+    ]
+    return np.asarray(values, dtype=float).reshape(len(rows), len(columns))
 
 
 def _parse_float(text: str, row: int, column: str) -> float:

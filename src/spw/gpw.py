@@ -9,11 +9,11 @@ alternative non-inverse estimators from the same moment calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .data import Dataset
 from .errors import (
@@ -31,34 +31,56 @@ CONDITION_LIMIT = 1e12
 class BasisSpec:
     """Basis map x -> Z(x) in R^dim used to summarize effect heterogeneity.
 
-    The built-in constructors expect scalar covariates; vector
-    covariates take a custom ``fn`` over rows.
+    The built-in constructors expect scalar covariates and build Z from
+    the whole covariate array at once; vector covariates take a custom
+    ``fn`` over rows.
     """
 
     fn: Callable[[object], Sequence[float]]
     dim: int
     name: str = "custom"
+    # Array form of ``fn`` for a 1-D covariate array; set by the built-ins.
+    _columns: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def _builtin(cls, fn, dim: int, name: str, columns) -> "BasisSpec":
+        spec = cls(fn=fn, dim=dim, name=name)
+        object.__setattr__(spec, "_columns", columns)
+        return spec
 
     @classmethod
     def constant(cls) -> "BasisSpec":
-        return cls(fn=lambda x: (1.0,), dim=1, name="const")
+        return cls._builtin(
+            lambda x: (1.0,), 1, "const", lambda x: np.ones((x.shape[0], 1))
+        )
 
     @classmethod
     def linear(cls) -> "BasisSpec":
-        return cls(fn=lambda x: (1.0, float(x)), dim=2, name="linear")
+        return cls._builtin(
+            lambda x: (1.0, float(x)),
+            2,
+            "linear",
+            lambda x: np.column_stack((np.ones(x.shape[0]), x)),
+        )
 
     @classmethod
     def polynomial(cls, degree: int) -> "BasisSpec":
         if degree < 0:
             raise ConfigError("polynomial degree must be nonnegative")
-        return cls(
-            fn=lambda x: tuple(float(x) ** k for k in range(degree + 1)),
-            dim=degree + 1,
-            name=f"poly:{degree}",
+        return cls._builtin(
+            lambda x: tuple(float(x) ** k for k in range(degree + 1)),
+            degree + 1,
+            f"poly:{degree}",
+            lambda x: x[:, None] ** np.arange(degree + 1.0),
         )
 
     def matrix(self, data: Dataset) -> np.ndarray:
-        rows = [self.fn(xi) for xi in np.asarray(data.x)]
+        x = np.asarray(data.x)
+        if self._columns is not None and x.ndim == 1:
+            return self._columns(x.astype(float, copy=False))
+        rows = [self.fn(xi) for xi in x]
         z = np.asarray(rows, dtype=float).reshape(data.n, self.dim)
         return z
 
@@ -179,7 +201,7 @@ def wald_ci(fit: GpwFit, contrast: Sequence[float], level: float) -> tuple[float
     _check_psd(fit.sigma)
     center = float(c @ fit.beta)
     spread = float(c @ fit.sigma @ c) / fit.n
-    half = stats.norm.ppf(0.5 * (1.0 + level)) * np.sqrt(max(spread, 0.0))
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(max(spread, 0.0))
     return (center - half, center + half)
 
 

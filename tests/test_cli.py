@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spw
 from spw.cli import main
 from spw.data import RngHandle, write_csv
 from spw.simulate import FiniteSampleDgp, LargeSampleDgp
@@ -331,6 +336,18 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["bounds"] == ["w=0:0,20", "w=1:0,30"]
 
+    def test_flag_at_default_value_beats_config(self, large_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nu": 0.5, "level": 0.9}))
+        out = tmp_path / "out"
+        argv = ["estimate", "--data", str(large_csv), "--config", str(cfg), "--out", str(out)]
+        assert main([*argv, "--nu", "1.0"]) == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["nu"] == 1.0
+        assert fit["wald_ci"]["level"] == 0.9
+        assert main(argv) == 0
+        assert json.loads((out / "fit.json").read_text())["nu"] == 0.5
+
     def test_unknown_config_key_exit_2(self, finite_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"who": "me"}))
@@ -350,3 +367,13 @@ class TestConfigFile:
             ]
         )
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(spw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, spw.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

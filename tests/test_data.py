@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spw import data as spw_data
 from spw.data import Dataset, RngHandle, build_strata, load_csv, occupancy, write_csv
 from spw.errors import (
     SpwError,
@@ -227,3 +228,121 @@ class TestMisc:
     def test_float_typed_treatment_column(self):
         data = Dataset.from_arrays([1.0, 2.0], [1.0, 0.0], [1, 1])
         assert data.treatments == (0, 1)
+
+
+def _random_doubles(seed, n=200):
+    rng = np.random.default_rng(seed)
+    mant = rng.uniform(-1.0, 1.0, n)
+    expo = rng.integers(-300, 300, n)
+    values = np.ldexp(mant, expo)
+    values[:4] = (5e-324, -2.2250738585072011e-308, 1.7976931348623157e308, -0.0)
+    return values
+
+
+def _random_doubles_csv():
+    v = _random_doubles(11)
+    lines = ["y,w,x,e"]
+    for i in range(v.size):
+        x = format(v[(i + 1) % v.size], ".17g") if i % 2 else format(v[i], ".6e")
+        lines.append(f"{float(v[i])!r},{i % 3},{x},0.{i + 1:04d}")
+    return "\n".join(lines) + "\n"
+
+
+# (file text, columns, whether the columnar loadtxt pass is expected to
+# carry the load without falling back to the row-wise reference).
+LOADER_CASES = {
+    "crlf": ("y,w,x\r\n1.5,1,2\r\n-0.0,0,3e-5\r\n", "ywx", True),
+    "quoted": ('"y","w",x\n"1.5",1,"2"\n"-3",0,"4.25"\n', "ywx", True),
+    "extra_trailing_fields": ("y,w,x\n1.5,1,2,9,note\n2,0,1\n", "ywx", True),
+    "blank_lines": ("y,w,x\n\n1.5,1,2\n\n\n2,0,1\n", "ywx", True),
+    "whitespace_line": ("y,w,x\n1.5,1,2\n \n2,0,1\n", "ywx", False),
+    "hash_value": ("y,w,x\n1,1,2\n#3,0,1\n", "ywx", False),
+    "hash_unused_field": ("y,w,x\n1,1,2,# note\n3,0,1\n", "ywx", True),
+    "underscore": ("y,w,x\n1_000,1,2\n2,0,1\n", "ywx", False),
+    "padded": ("y,w,x\n 1.5 ,1,\t2\n2, 0 ,1\n", "ywx", True),
+    "short_row": ("y,w,x\n1.5,1,2\n2.5,0\n", "ywx", False),
+    "empty_field": ("y,w,x\n1.5,1,2\n,0,1\n", "ywx", False),
+    "multi_column_x": (
+        "y,w,x1,x2,e\n1,1,0.5,-2,0.25\n2,0,1.5,3e2,0.75\n",
+        ["y", "w", "x1", "x2", "e"],
+        True,
+    ),
+    "duplicate_header": ("y,w,x,x\n1,1,2,3\n4,0,5,6\n", "ywx", True),
+    "random_doubles": (_random_doubles_csv(), "ywxe", True),
+    "header_only": ("y,w,x\n", "ywx", False),
+    "header_and_blank_lines": ("y,w,x\n\n\n", "ywx", False),
+    "empty_file": ("", "ywx", False),
+    "missing_column": ("y,w\n1,0\n", "ywx", False),
+}
+for _col, _name in enumerate("ywxe"):
+    for _bad in ("nan", "inf", "-Infinity"):
+        _row = ["1.5", "1", "2", "0.5"]
+        _row[_col] = _bad
+        LOADER_CASES[f"{_bad}_in_{_name}"] = (
+            "y,w,x,e\n0,0,1,0.5\n" + ",".join(_row) + "\n", "ywxe", False
+        )
+
+
+def _outcome(fn, path, columns):
+    try:
+        return ("ok", fn(path, list(columns)))
+    except SpwError as err:
+        return ("err", type(err), getattr(err, "row", None), getattr(err, "column", None))
+
+
+class TestColumnarLoader:
+    """The columnar parse against the row-wise reference it replaced."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_matches_row_wise_reference(self, case, tmp_path, monkeypatch):
+        text, columns, fast = LOADER_CASES[case]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        reference = spw_data._read_rows
+        expected = _outcome(reference, path, columns)
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(spw_data, "_read_rows", counted)
+        got = _outcome(spw_data._read_columns, path, columns)
+        if expected[0] == "ok":
+            assert got[0] == "ok"
+            assert got[1].dtype == expected[1].dtype == np.float64
+            assert got[1].shape == expected[1].shape
+            assert got[1].tobytes() == expected[1].tobytes()  # bit-equal, -0.0 included
+        else:
+            assert got == expected
+        if expected[0] == "ok" or fallbacks:
+            assert (not fallbacks) == fast
+
+
+class TestFromArraysOwnsItsArrays:
+    def test_caller_writes_do_not_reach_dataset(self):
+        y = np.array([1.0, 2.0, 3.0])
+        w = np.array([1, 0, 1])
+        x = np.array([0.1, 0.2, 0.3])
+        e = np.array([0.4, 0.5, 0.6])
+        data = Dataset.from_arrays(y, w, x, mode="large", propensity=e)
+        y[1] = np.nan
+        w[0] = 7
+        x[2] = np.inf
+        e[0] = 2.0
+        np.testing.assert_array_equal(data.y, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(data.w, [1, 0, 1])
+        np.testing.assert_array_equal(data.x, [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(data.propensity, [0.4, 0.5, 0.6])
+
+    @pytest.mark.parametrize("mode", ["finite", "large"])
+    def test_stored_arrays_are_read_only(self, mode):
+        data = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0], [1, 1, 2, 2], mode=mode)
+        arrays = [data.y, data.w, data.x]
+        if mode == "finite":
+            arrays.append(data.x_labels)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0

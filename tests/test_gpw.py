@@ -1,5 +1,7 @@
 """Tests for the large-sample weighting estimators and their covariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,50 @@ class TestAltEstimators:
         oracle, *_ = np.linalg.lstsq(reg, data.y, rcond=None)
         fit = alt_estimate(data, None, basis, "robinson_regression")
         np.testing.assert_allclose(fit.beta, oracle, rtol=1e-8)
+
+
+def _per_row(basis, data):
+    rows = [basis.fn(xi) for xi in np.asarray(data.x)]
+    return np.asarray(rows, dtype=float).reshape(data.n, basis.dim)
+
+
+class TestBasisMatrix:
+    """Array-built bases against the per-row map they replaced."""
+
+    @pytest.fixture(params=["large", "finite"])
+    def data(self, request):
+        rng = np.random.default_rng(8)
+        n = 500
+        if request.param == "finite":
+            x = rng.integers(-3, 9, n)
+        else:
+            x = np.ldexp(rng.uniform(-1, 1, n), rng.integers(-20, 20, n))
+        y = rng.normal(size=n)
+        return Dataset.from_arrays(y, rng.integers(0, 2, n), x, mode=request.param)
+
+    @pytest.mark.parametrize("basis", [BasisSpec.constant(), BasisSpec.linear()], ids=str)
+    def test_const_and_linear_exact(self, data, basis):
+        z = basis.matrix(data)
+        assert z.dtype == np.float64 and z.flags.c_contiguous
+        assert z.tobytes() == _per_row(basis, data).tobytes()
+
+    @pytest.mark.parametrize("degree", range(9))
+    def test_polynomial_within_rounding(self, data, degree):
+        basis = BasisSpec.polynomial(degree)
+        z = basis.matrix(data)
+        assert z.shape == (data.n, degree + 1)
+        np.testing.assert_allclose(z, _per_row(basis, data), rtol=1e-15, atol=0)
+
+    def test_custom_fn_keeps_row_path(self, data):
+        basis = dataclasses.replace(BasisSpec.linear(), fn=lambda x: (2.0, float(x) - 1.0))
+        np.testing.assert_array_equal(basis.matrix(data)[:, 0], 2.0)
+        assert basis.matrix(data).tobytes() == _per_row(basis, data).tobytes()
+
+
+class TestNormalQuantile:
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999])
+    def test_matches_scipy_ppf(self, level):
+        stats = pytest.importorskip("scipy.stats")
+        fit = GpwFit(np.array([0.0]), np.array([[1.0]]), 1.0, 1, 1.0)
+        _, hi = wald_ci(fit, [1.0], level)
+        assert hi == pytest.approx(stats.norm.ppf(0.5 * (1.0 + level)), rel=0, abs=1e-15)

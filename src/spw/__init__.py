@@ -16,7 +16,6 @@ from .data import (
     StrataIndex,
     build_strata,
     load_csv,
-    occupancy,
     write_csv,
 )
 from .finite_sample import (
@@ -45,7 +44,6 @@ from .inference import (
     observed_statistic,
     omega_parts,
     pvalue_bounds,
-    randomized_tiebreak_policy,
     statistic_weights,
 )
 from .residuals import (
@@ -68,8 +66,6 @@ from .residuals import (
     WeightedAipw,
     conditional_mean,
     dr_probe,
-    eval_cac_residual,
-    eval_cqr_residual,
     eval_residual,
     gateaux_derivative,
     residual_from_json,
@@ -82,7 +78,5 @@ from .simulate import (
     LargeSampleDgp,
     StudyResult,
     density_summary,
-    gen_finite_sample,
-    gen_large_sample,
     run_study,
 )

@@ -92,32 +92,19 @@ def _basis_from_spec(spec: str) -> BasisSpec:
     raise ConfigError(f"unknown basis spec {spec!r} (use const, linear, or poly:K)")
 
 
-def _parse_bounds(items: list[str]) -> dict[int, tuple[float, float]]:
-    # Format: w=1:0,20
-    bounds = {}
+def _parse_spans(items: list[str], what: str, example: str) -> dict[int, tuple[float, float]]:
+    # Format: NAME=KEY:LO,HI, e.g. w=1:0,20 (response bounds of treatment 1)
+    # or k=0:0.01,0.10 (treatment-probability box of dense stratum 0).
+    spans = {}
     for item in items:
         try:
             _, rest = item.split("=", 1)
             label, span = rest.split(":", 1)
             lo, hi = span.split(",")
-            bounds[int(label)] = (float(lo), float(hi))
+            spans[int(label)] = (float(lo), float(hi))
         except (ValueError, IndexError):
-            raise ConfigError(f"cannot parse bounds spec {item!r}; expected w=LABEL:LO,HI")
-    return bounds
-
-
-def _parse_lambda_boxes(items: list[str]) -> dict[int, tuple[float, float]]:
-    # Format: k=0:0.01,0.10 (dense stratum index)
-    boxes = {}
-    for item in items:
-        try:
-            _, rest = item.split("=", 1)
-            label, span = rest.split(":", 1)
-            lo, hi = span.split(",")
-            boxes[int(label)] = (float(lo), float(hi))
-        except (ValueError, IndexError):
-            raise ConfigError(f"cannot parse lambda box {item!r}; expected k=K:LO,HI")
-    return boxes
+            raise ConfigError(f"cannot parse {what} {item!r}; expected {example}")
+    return spans
 
 
 def _parse_kappa(text: str) -> dict[int, float]:
@@ -209,7 +196,8 @@ def cmd_fpw(args) -> int:
     _require_args(args, "bounds")
     data = _load_dataset(args, mode="finite")
     strata = build_strata(data)
-    cfg = FsConfig(bounds=_parse_bounds(args.bounds), kappa=_parse_kappa(args.kappa))
+    bounds = _parse_spans(args.bounds, "bounds spec", "w=LABEL:LO,HI")
+    cfg = FsConfig(bounds=bounds, kappa=_parse_kappa(args.kappa))
     est = fpw_set(data, strata, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +223,7 @@ def cmd_test(args) -> int:
     except ValueError:
         raise ConfigError(f"cannot parse grid {args.grid!r}; expected LO:HI:STEP") from None
     grid = NullGrid.from_range(lo, hi, step)
-    boxes = _parse_lambda_boxes(args.lambda_box)
+    boxes = _parse_spans(args.lambda_box, "lambda box", "k=K:LO,HI")
     models = ModelClass.from_lambda_boxes(boxes, strata.n_strata, resolution=args.resolution)
     het = HetBounds(c1=args.c1)
     pvb = pvalue_bounds(
@@ -314,7 +302,7 @@ def cmd_simulate(args) -> int:
                 estimators["scaled"] = scaled_ate_study_estimator()
             else:
                 raise ConfigError(f"estimator {name!r} is not available for the finite DGP")
-    result = run_study(dgp, estimators, reps=args.reps, seed=args.seed, threads=args.threads)
+    result = run_study(dgp, estimators, reps=args.reps, seed=args.seed)
     summary = result.summary(truth)
     _write_json(out_dir / "summary.json", {"summary": summary, "errors": result.error_counts})
     with open(out_dir / "estimates.csv", "w", newline="", encoding="utf-8") as fh:
@@ -390,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, data=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default="spw_out")
         p.add_argument("--config", default=None, help="JSON file; flags override its values")
         if data:

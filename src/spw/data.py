@@ -182,10 +182,12 @@ def _validate_treatments(w: np.ndarray) -> np.ndarray:
         w_int = w.astype(np.int64)
     else:
         w_float = np.asarray(w, dtype=float)
-        if not np.all(np.isfinite(w_float)):
-            raise NonFiniteValue(int(np.argmax(~np.isfinite(w_float))) + 1, "w")
-        if np.any(w_float != np.round(w_float)):
-            bad = int(np.argmax(w_float != np.round(w_float)))
+        finite = np.isfinite(w_float)
+        if not np.all(finite):
+            raise NonFiniteValue(int(np.argmax(~finite)) + 1, "w")
+        fractional = w_float != np.round(w_float)
+        if np.any(fractional):
+            bad = int(np.argmax(fractional))
             raise UnknownTreatmentLabel(w_float[bad], row=bad + 1)
         w_int = w_float.astype(np.int64)
     if np.any(w_int < 0):
@@ -240,7 +242,8 @@ def _read_columns(path, columns: Sequence[str]) -> np.ndarray:
     """Parse the named columns into an (n, len(columns)) float block.
 
     One C-level ``np.loadtxt`` pass reads the whole file. When it
-    rejects a value, finds no rows, or reads a non-finite one, the file
+    rejects a value, finds no rows, reads a non-finite one, or the file
+    holds a character that it strips but ``float()`` rejects, the file
     is parsed again by ``_read_rows``, which accepts exactly what
     ``float()`` accepts and names the offending row and column.
     """
@@ -267,9 +270,29 @@ def _read_columns(path, columns: Sequence[str]) -> np.ndarray:
                 )
         except ValueError:
             block = None
-    if block is None or block.shape[0] == 0 or not np.all(np.isfinite(block)):
+    if (
+        block is None
+        or block.shape[0] == 0
+        or not np.all(np.isfinite(block))
+        or _has_separator(path)
+    ):
         return _read_rows(path, columns)
     return block
+
+
+# The ASCII separators 0x1c-0x1f: whitespace to loadtxt, invalid to float().
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _has_separator(path) -> bool:
+    """Whether the file holds a byte 0x1c-0x1f. It is read in 64 KiB
+    chunks, below glibc's default mmap threshold, so the scan neither
+    grows with the file nor raises that threshold for later arrays."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            if any(sep in chunk for sep in _SEPARATORS):
+                return True
+    return False
 
 
 def _read_rows(path, columns: Sequence[str]) -> np.ndarray:
@@ -341,6 +364,11 @@ class StrataIndex:
     def n_strata(self) -> int:
         return len(self.members)
 
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        """Number of True entries of ``mask`` per stratum, along its last
+        axis: (K,) for one assignment (n,), (B, K) for a batch (B, n)."""
+        return np.stack([mask[..., idx].sum(axis=-1) for idx in self.members], axis=-1)
+
 
 def build_strata(data: Dataset, *, min_count: int = 2) -> StrataIndex:
     """Group observations by stratum; finite-sample mode requires N_k >= 2."""
@@ -354,10 +382,3 @@ def build_strata(data: Dataset, *, min_count: int = 2) -> StrataIndex:
             raise StratumTooSmall(data.x_labels[code], int(counts[code]))
     return StrataIndex(members=members, counts=counts, labels=data.x.copy())
 
-
-def occupancy(data: Dataset, strata: StrataIndex, w: int) -> np.ndarray:
-    """Per-stratum counts of observations with treatment ``w``."""
-    if int(w) not in data.treatments:
-        raise UnknownTreatmentLabel(w)
-    hits = (data.w == int(w)).astype(np.int64)
-    return np.bincount(strata.labels, weights=hits, minlength=strata.n_strata).astype(np.int64)

@@ -94,32 +94,41 @@ def _check_finite(data: Dataset) -> None:
         raise FlavorMismatch("finite-sample estimators require a finite-sample dataset")
 
 
-def _treated_counts(data: Dataset, strata: StrataIndex, w: int) -> np.ndarray:
-    hits = (data.w == w).astype(np.int64)
-    return np.bincount(strata.labels, weights=hits, minlength=strata.n_strata).astype(np.int64)
-
-
 def loo_shrinkage_weight(data: Dataset, strata: StrataIndex, i: int, w: int) -> float:
     """Stabilized reciprocal weight N_k / (1 + same-treatment peers of i)."""
     _check_finite(data)
     k = int(strata.labels[i])
-    peers = int(_treated_counts(data, strata, w)[k]) - int(data.w[i] == w)
+    peers = int(strata.count(data.w == w)[k]) - int(data.w[i] == w)
     return strata.counts[k] / (1.0 + peers)
+
+
+def _stratum_sums(strata: StrataIndex, terms: np.ndarray) -> np.ndarray:
+    """Per-stratum sums of per-unit terms. ``bincount`` adds in unit
+    order, so each sum is rounded exactly as a sequential loop's."""
+    return np.bincount(strata.labels, weights=terms, minlength=strata.n_strata)
+
+
+def _shrinkage_terms(data: Dataset, strata: StrataIndex, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stratum w-counts m_w and the per-unit terms r_hat_i 1{W_i = w} Y_i,
+    with r_hat_i = N_k / m_w for the w units of stratum k."""
+    is_w = data.w == w
+    m_w = strata.count(is_w)
+    labels = strata.labels
+    r_hat = strata.counts[labels] / np.maximum(m_w[labels], 1.0)
+    return m_w, r_hat * is_w * data.y
+
+
+def _shrinkage_means(data: Dataset, strata: StrataIndex, w: int) -> np.ndarray:
+    """Shrinkage-weighted means of every stratum, shape (K,)."""
+    _, terms = _shrinkage_terms(data, strata, w)
+    return _stratum_sums(strata, terms) / strata.counts
 
 
 def shrinkage_mean(data: Dataset, strata: StrataIndex, w: int, k: int) -> float:
     """Shrinkage-weighted stratum mean; equals the modified subsample mean
     (sum of w-outcomes over max(1, w-count))."""
     _check_finite(data)
-    idx = strata.members[k]
-    n_k = strata.counts[k]
-    m_w = int(np.sum(data.w[idx] == w))
-    total = 0.0
-    for i in idx:
-        if data.w[i] == w:
-            r_hat = n_k / (1.0 + (m_w - 1))
-            total += r_hat * data.y[i]
-    return total / n_k
+    return _shrinkage_means(data, strata, w)[k]
 
 
 def unpooled_set(data: Dataset, strata: StrataIndex, w: int, k: int, cfg: FsConfig) -> SetEstimate:
@@ -138,32 +147,23 @@ def unpooled_set(data: Dataset, strata: StrataIndex, w: int, k: int, cfg: FsConf
 PoolWeights = Callable[[int, int, int], float]
 
 
-def _pooled_mean_endpoint(
+def _pooled_interval(
     data: Dataset,
     strata: StrataIndex,
     w: int,
-    t: float,
+    bounds: tuple[float, float],
     pool_weights: PoolWeights | None,
-) -> float:
+) -> SetEstimate:
     n = data.n
     k_n = strata.n_strata
     counts = strata.counts
-    m_w = _treated_counts(data, strata, w)
-    mu_tilde = np.array([shrinkage_mean(data, strata, w, k) for k in range(k_n)])
+    m_w, base = _shrinkage_terms(data, strata, w)
+    mu_tilde = _stratum_sums(strata, base) / counts
     vacant = (m_w == 0).astype(float)
-    mu_hat = mu_tilde + t * vacant
 
-    is_w = data.w == w
-    r_hat = counts[strata.labels] / (1.0 + m_w[strata.labels] - is_w)
-    base = r_hat * is_w * data.y
-
-    if k_n == 1:
-        imputed = t * vacant[strata.labels]
-    else:
-        imputed = np.zeros(n)
-        for k in range(k_n):
-            if not vacant[k]:
-                continue
+    pools = []  # (vacant stratum, the other strata, their pooling weights)
+    if k_n > 1:
+        for k in np.flatnonzero(vacant):
             others = [j for j in range(k_n) if j != k]
             if pool_weights is None:
                 weights = counts[others] / (n - counts[k])
@@ -171,9 +171,21 @@ def _pooled_mean_endpoint(
                 weights = np.array([pool_weights(w, j, k) for j in others], dtype=float)
                 if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
                     raise ConfigError("pooling weights must be nonnegative and sum to 1")
-            value = float(weights @ mu_hat[others])
-            imputed[strata.members[k]] = value
-    return float(np.mean(base + imputed))
+            pools.append((k, others, weights))
+
+    # Each endpoint is mean(base + imputed), not intercept + t * slope:
+    # the affine form would round the endpoints differently.
+    ends = []
+    for t in bounds:
+        if k_n == 1:
+            imputed = t * vacant[strata.labels]
+        else:
+            mu_hat = mu_tilde + t * vacant
+            imputed = np.zeros(n)
+            for k, others, weights in pools:
+                imputed[strata.members[k]] = float(weights @ mu_hat[others])
+        ends.append(float(np.mean(base + imputed)))
+    return SetEstimate(*ends)
 
 
 def fpw_intervals(
@@ -193,10 +205,7 @@ def fpw_intervals(
     for w, kap in cfg.kappa.items():
         if kap == 0.0:
             continue
-        lo_c, hi_c = cfg.bound_for(w)
-        lo = _pooled_mean_endpoint(data, strata, w, lo_c, pool_weights)
-        hi = _pooled_mean_endpoint(data, strata, w, hi_c, pool_weights)
-        out[w] = SetEstimate(lo, hi)
+        out[w] = _pooled_interval(data, strata, w, cfg.bound_for(w), pool_weights)
     return out
 
 
@@ -243,37 +252,28 @@ def fpw_set(
 def wmd_estimate(data: Dataset, strata: StrataIndex, cfg: FsConfig) -> float:
     """Size-weighted contrast of the modified subsample means."""
     _check_finite(data)
-    n = data.n
     terms = []
     for w, kap in cfg.kappa.items():
         if kap == 0.0:
             continue
-        for k in range(strata.n_strata):
-            terms.append(kap * strata.counts[k] / n * shrinkage_mean(data, strata, w, k))
+        terms.extend(kap * strata.counts / data.n * _shrinkage_means(data, strata, w))
     return math.fsum(terms)
 
 
 def ipw_fs_estimate(data: Dataset, strata: StrataIndex, cfg: FsConfig) -> float:
     """Clamped leave-one-out inverse-weighting baseline (biased)."""
     _check_finite(data)
-    n = data.n
     counts = strata.counts
+    labels = strata.labels
+    floor = 1.0 / (2.0 * counts - 2.0)
     terms = []
     for w, kap in cfg.kappa.items():
         if kap == 0.0:
             continue
-        m_w = _treated_counts(data, strata, w)
-        for k in range(strata.n_strata):
-            idx = strata.members[k]
-            n_k = counts[k]
-            floor = 1.0 / (2.0 * n_k - 2.0)
-            acc = 0.0
-            for i in idx:
-                if data.w[i] != w:
-                    continue
-                p_hat = (m_w[k] - 1) / (n_k - 1)
-                acc += data.y[i] / max(p_hat, floor)
-            terms.append(kap * (n_k / n) * acc / n_k)
+        is_w = data.w == w
+        p_hat = np.maximum((strata.count(is_w) - 1) / (counts - 1), floor)
+        acc = _stratum_sums(strata, np.where(is_w, data.y / p_hat[labels], 0.0))
+        terms.extend(kap * (counts / data.n) * acc / counts)
     return math.fsum(terms)
 
 
@@ -290,8 +290,8 @@ def scaled_ate(data: Dataset, strata: StrataIndex, a: int, b: int) -> float:
         raise ConfigError("scaled effect requires two distinct treatments")
     labels = strata.labels
     counts = strata.counts
-    m_a = _treated_counts(data, strata, a)
-    m_b = _treated_counts(data, strata, b)
+    m_a = strata.count(data.w == a)
+    m_b = strata.count(data.w == b)
     denom = counts[labels] - 1.0
     p_a = (m_a[labels] - (data.w == a)) / denom
     p_b = (m_b[labels] - (data.w == b)) / denom

@@ -31,15 +31,16 @@ CONDITION_LIMIT = 1e12
 class BasisSpec:
     """Basis map x -> Z(x) in R^dim used to summarize effect heterogeneity.
 
-    The built-in constructors expect scalar covariates and build Z from
-    the whole covariate array at once; vector covariates take a custom
-    ``fn`` over rows.
+    The built-in constructors build Z from the whole covariate array at
+    once; ``linear`` and ``polynomial`` need a scalar covariate and raise
+    ``ConfigError`` on any other. Vector covariates take a custom ``fn``
+    over rows.
     """
 
     fn: Callable[[object], Sequence[float]]
     dim: int
     name: str = "custom"
-    # Array form of ``fn`` for a 1-D covariate array; set by the built-ins.
+    # Array form of ``fn`` over the covariate array; set by the built-ins.
     _columns: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -62,27 +63,34 @@ class BasisSpec:
             lambda x: (1.0, float(x)),
             2,
             "linear",
-            lambda x: np.column_stack((np.ones(x.shape[0]), x)),
+            lambda x: np.column_stack((np.ones(x.shape[0]), _scalar(x, "linear"))),
         )
 
     @classmethod
     def polynomial(cls, degree: int) -> "BasisSpec":
         if degree < 0:
             raise ConfigError("polynomial degree must be nonnegative")
+        name = f"poly:{degree}"
         return cls._builtin(
             lambda x: tuple(float(x) ** k for k in range(degree + 1)),
             degree + 1,
-            f"poly:{degree}",
-            lambda x: x[:, None] ** np.arange(degree + 1.0),
+            name,
+            lambda x: _scalar(x, name)[:, None] ** np.arange(degree + 1.0),
         )
 
     def matrix(self, data: Dataset) -> np.ndarray:
         x = np.asarray(data.x)
-        if self._columns is not None and x.ndim == 1:
+        if self._columns is not None:
             return self._columns(x.astype(float, copy=False))
         rows = [self.fn(xi) for xi in x]
         z = np.asarray(rows, dtype=float).reshape(data.n, self.dim)
         return z
+
+
+def _scalar(x: np.ndarray, basis: str) -> np.ndarray:
+    if x.ndim != 1:
+        raise ConfigError(f"basis {basis!r} needs a scalar covariate, not x of shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)

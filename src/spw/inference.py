@@ -108,24 +108,6 @@ class ModelClass:
         return cls(models)
 
 
-@dataclass(frozen=True)
-class ExceedancePolicy:
-    """Documents the tie convention: a simulated statistic equal to the
-    observed one counts as an exceedance (the event is '>=')."""
-
-    comparison: str = ">="
-
-    def exceeds(self, simulated, observed):
-        return simulated >= observed
-
-
-def randomized_tiebreak_policy(config: Mapping | None = None) -> ExceedancePolicy:
-    """The only supported policy: plain '>=' with no added randomization."""
-    if config and config.get("comparison", ">=") != ">=":
-        raise ConfigError("only the '>=' exceedance convention is supported")
-    return ExceedancePolicy()
-
-
 # ---------------------------------------------------------------------------
 # Linear statistics: Q weights as functions of (X, W)
 # ---------------------------------------------------------------------------
@@ -138,15 +120,6 @@ def _as_2d(w: np.ndarray) -> tuple[np.ndarray, bool]:
     if w.ndim == 1:
         return w[None, :], True
     return w, False
-
-
-def _stratum_counts(w2d: np.ndarray, strata: StrataIndex) -> np.ndarray:
-    """Per-draw treated counts by stratum: (B, K)."""
-    b = w2d.shape[0]
-    counts = np.empty((b, strata.n_strata))
-    for k, idx in enumerate(strata.members):
-        counts[:, k] = w2d[:, idx].sum(axis=1)
-    return counts
 
 
 def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
@@ -163,10 +136,10 @@ def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
         raise ConfigError("statistic weights are defined for binary assignments only")
     labels = strata.labels
     n_k = strata.counts[labels].astype(float)  # (n,)
-    m1 = _stratum_counts(w2d, strata)[:, labels]  # (B, n)
-    m0 = n_k[None, :] - m1
     treated = w2d == 1
     control = ~treated
+    m1 = strata.count(treated)[:, labels]  # (B, n)
+    m0 = n_k[None, :] - m1
 
     if name == "t_hat":
         p1 = (m1 - treated) / (n_k - 1.0)

@@ -477,14 +477,6 @@ def eval_residual(kind, obs: Observation, tau_at_x: float, nuis) -> float:
     return kind.value(obs.y, obs.w, obs.x, tau_at_x, nuis)
 
 
-def eval_cac_residual(kind: MultivaluedCac, obs, theta_at_x, nuis: CacNuisances) -> float:
-    return kind.value(obs.y, obs.w, obs.x, theta_at_x, nuis)
-
-
-def eval_cqr_residual(kind: MultivaluedCqr, obs, q_at, nuis: CqrNuisances) -> float:
-    return kind.value(obs.y, obs.w, obs.x, q_at, nuis)
-
-
 # ---------------------------------------------------------------------------
 # Discrete designs and exact moment probes
 # ---------------------------------------------------------------------------

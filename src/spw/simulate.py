@@ -10,7 +10,6 @@ replication streams and summarizes bias, spread, and coverage.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -90,14 +89,6 @@ class FiniteSampleDgp:
         return Dataset.from_arrays(y, w, x, mode="finite", treatments=(0, 1))
 
 
-def gen_large_sample(spec: LargeSampleDgp, rng: np.random.Generator) -> Dataset:
-    return spec.generate(rng)
-
-
-def gen_finite_sample(spec: FiniteSampleDgp, rng: np.random.Generator) -> Dataset:
-    return spec.generate(rng)
-
-
 Estimator = Callable[[Dataset], Mapping[str, float]]
 
 
@@ -145,14 +136,13 @@ def run_study(
     estimators: Mapping[str, Estimator],
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> StudyResult:
     """Replicate each estimator over independent data draws.
 
     Every replication r generates data from stream (seed, r) and feeds
-    it to every estimator; results are bit-identical for a given seed
-    regardless of the thread count. Estimator errors are recorded per
-    name and leave NaNs in the affected row.
+    it to every estimator, so results are bit-identical for a given
+    seed. Estimator errors are recorded per name and leave NaNs in the
+    affected row.
     """
     if reps < 2:
         raise ConfigError("at least two replications are required")
@@ -166,27 +156,16 @@ def run_study(
         columns.extend(f"{name}.{c}" for c in cols)
     matrix = np.full((reps, len(columns)), np.nan)
 
-    def one_rep(r: int) -> list[str]:
+    errors = {name: 0 for name in estimators}
+    for r in range(reps):
         data = dgp.generate(handle.child(r).generator())
-        failed = []
         for name, est, cols, offset in layout:
             try:
                 values = est(data)
                 for j, c in enumerate(cols):
                     matrix[r, offset + j] = values[c]
             except SpwError:
-                failed.append(name)
-        return failed
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = list(pool.map(one_rep, range(reps)))
-    else:
-        failures = [one_rep(r) for r in range(reps)]
-    errors = {name: 0 for name in estimators}
-    for failed in failures:
-        for name in failed:
-            errors[name] += 1
+                errors[name] += 1
     return StudyResult(
         columns=tuple(columns), matrix=matrix, error_counts=errors, seed=seed
     )

@@ -369,6 +369,18 @@ class TestConfigFile:
         assert code == 2
 
 
+    def test_threads_key_from_older_manifest_exit_2(self, tmp_path, capsys):
+        # Studies run in one thread; a replayed manifest must drop "threads".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dgp": "finite", "n": 10, "reps": 2, "threads": 1}))
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dgp", "finite", "--threads", "2"])
+        assert exc.value.code == 2
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(spw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

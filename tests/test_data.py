@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spw import data as spw_data
-from spw.data import Dataset, RngHandle, build_strata, load_csv, occupancy, write_csv
+from spw.data import Dataset, RngHandle, build_strata, load_csv, write_csv
 from spw.errors import (
     SpwError,
     EmptyDataset,
@@ -136,17 +136,13 @@ class TestOccupancy:
         self.strata = build_strata(self.data)
 
     def test_treated_counts(self):
-        np.testing.assert_array_equal(occupancy(self.data, self.strata, 1), [1, 0])
+        np.testing.assert_array_equal(self.strata.count(self.data.w == 1), [1, 0])
 
     def test_control_counts(self):
-        np.testing.assert_array_equal(occupancy(self.data, self.strata, 0), [1, 2])
+        np.testing.assert_array_equal(self.strata.count(self.data.w == 0), [1, 2])
 
     def test_absent_declared_label(self):
-        np.testing.assert_array_equal(occupancy(self.data, self.strata, 2), [0, 0])
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownTreatmentLabel):
-            occupancy(self.data, self.strata, 5)
+        np.testing.assert_array_equal(self.strata.count(self.data.w == 2), [0, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -163,7 +159,7 @@ class TestOccupancy:
             np.arange(len(xs), dtype=float), ws, xs, treatments=(0, 1, 2)
         )
         strata = build_strata(data)
-        total = sum(occupancy(data, strata, w) for w in data.treatments)
+        total = sum(strata.count(data.w == w) for w in data.treatments)
         np.testing.assert_array_equal(total, strata.counts)
 
 
@@ -229,6 +225,14 @@ class TestMisc:
         data = Dataset.from_arrays([1.0, 2.0], [1.0, 0.0], [1, 1])
         assert data.treatments == (0, 1)
 
+    def test_float_typed_treatment_column_rejects_bad_rows(self):
+        with pytest.raises(UnknownTreatmentLabel) as err:
+            Dataset.from_arrays([1.0, 2.0, 3.0], [1.0, 0.5, 1.5], [1, 1, 1])
+        assert (err.value.label, err.value.row) == (0.5, 2)
+        with pytest.raises(NonFiniteValue) as err:
+            Dataset.from_arrays([1.0, 2.0, 3.0], [1.0, 0.5, np.nan], [1, 1, 1])
+        assert (err.value.row, err.value.column) == (3, "w")
+
 
 def _random_doubles(seed, n=200):
     rng = np.random.default_rng(seed)
@@ -273,6 +277,10 @@ LOADER_CASES = {
     "header_and_blank_lines": ("y,w,x\n\n\n", "ywx", False),
     "empty_file": ("", "ywx", False),
     "missing_column": ("y,w\n1,0\n", "ywx", False),
+    # float() rejects the ASCII separators \x1c-\x1f that loadtxt strips.
+    "file_separator_led_y": ("y,w,x\n\x1c1.5,1,2\n2,0,1\n", "ywx", False),
+    "unit_separator_trailing_x": ("y,w,x\n1.5,1,2\x1f\n2,0,1\n", "ywx", False),
+    "group_separator_unused_field": ("y,w,x,note\n1.5,1,2,\x1d\n2,0,1,\n", "ywx", False),
 }
 for _col, _name in enumerate("ywxe"):
     for _bad in ("nan", "inf", "-Infinity"):

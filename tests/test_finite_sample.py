@@ -1,11 +1,13 @@
 """Tests for the stratified finite-sample estimators and the enumeration oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spw.data import Dataset, build_strata
+from spw.data import Dataset, RngHandle, build_strata
 from spw.errors import ConfigError, EnumerationTooLarge
 from spw.finite_sample import (
     AssignmentModel,
@@ -20,6 +22,8 @@ from spw.finite_sample import (
     unpooled_set,
     wmd_estimate,
 )
+from spw.inference import STATISTICS, statistic_weights
+from spw.simulate import FiniteSampleDgp
 
 ATE_CFG = FsConfig.binary_ate(0.0, 10.0, 0.0, 10.0)
 
@@ -373,3 +377,210 @@ class TestSetEstimate:
 
     def test_midpoint(self):
         assert SetEstimate(1.0, 3.0).midpoint == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Loop reference: the per-unit implementations that the vectorised
+# finite-sample layer replaced. Every float must match them exactly.
+# ---------------------------------------------------------------------------
+
+
+def _ref_treated_counts(data, strata, w):
+    hits = (data.w == w).astype(np.int64)
+    return np.bincount(strata.labels, weights=hits, minlength=strata.n_strata).astype(np.int64)
+
+
+def _ref_stratum_counts(w2d, strata):
+    counts = np.empty((w2d.shape[0], strata.n_strata))
+    for k, idx in enumerate(strata.members):
+        counts[:, k] = w2d[:, idx].sum(axis=1)
+    return counts
+
+
+def _ref_shrinkage_mean(data, strata, w, k):
+    idx = strata.members[k]
+    n_k = strata.counts[k]
+    m_w = int(np.sum(data.w[idx] == w))
+    total = 0.0
+    for i in idx:
+        if data.w[i] == w:
+            r_hat = n_k / (1.0 + (m_w - 1))
+            total += r_hat * data.y[i]
+    return total / n_k
+
+
+def _ref_pooled_mean_endpoint(data, strata, w, t, pool_weights):
+    n = data.n
+    k_n = strata.n_strata
+    counts = strata.counts
+    m_w = _ref_treated_counts(data, strata, w)
+    mu_tilde = np.array([_ref_shrinkage_mean(data, strata, w, k) for k in range(k_n)])
+    vacant = (m_w == 0).astype(float)
+    mu_hat = mu_tilde + t * vacant
+    is_w = data.w == w
+    r_hat = counts[strata.labels] / (1.0 + m_w[strata.labels] - is_w)
+    base = r_hat * is_w * data.y
+    if k_n == 1:
+        imputed = t * vacant[strata.labels]
+    else:
+        imputed = np.zeros(n)
+        for k in range(k_n):
+            if not vacant[k]:
+                continue
+            others = [j for j in range(k_n) if j != k]
+            if pool_weights is None:
+                weights = counts[others] / (n - counts[k])
+            else:
+                weights = np.array([pool_weights(w, j, k) for j in others], dtype=float)
+            imputed[strata.members[k]] = float(weights @ mu_hat[others])
+    return float(np.mean(base + imputed))
+
+
+def _ref_fpw_interval(data, strata, cfg, per_w):
+    lo_terms, hi_terms = [], []
+    for w, (lo, hi) in per_w.items():
+        kap = cfg.kappa[w]
+        lo_terms.append(kap * (lo if kap > 0 else hi))
+        hi_terms.append(kap * (hi if kap > 0 else lo))
+    return math.fsum(lo_terms), math.fsum(hi_terms)
+
+
+def _ref_wmd_estimate(data, strata, cfg):
+    terms = []
+    for w, kap in cfg.kappa.items():
+        if kap == 0.0:
+            continue
+        for k in range(strata.n_strata):
+            mu = _ref_shrinkage_mean(data, strata, w, k)
+            terms.append(kap * strata.counts[k] / data.n * mu)
+    return math.fsum(terms)
+
+
+def _ref_ipw_fs_estimate(data, strata, cfg):
+    counts = strata.counts
+    terms = []
+    for w, kap in cfg.kappa.items():
+        if kap == 0.0:
+            continue
+        m_w = _ref_treated_counts(data, strata, w)
+        for k in range(strata.n_strata):
+            n_k = counts[k]
+            floor = 1.0 / (2.0 * n_k - 2.0)
+            acc = 0.0
+            for i in strata.members[k]:
+                if data.w[i] != w:
+                    continue
+                p_hat = (m_w[k] - 1) / (n_k - 1)
+                acc += data.y[i] / max(p_hat, floor)
+            terms.append(kap * (n_k / data.n) * acc / n_k)
+    return math.fsum(terms)
+
+
+def _ref_scaled_ate(data, strata, a, b):
+    labels = strata.labels
+    m_a = _ref_treated_counts(data, strata, a)
+    m_b = _ref_treated_counts(data, strata, b)
+    denom = strata.counts[labels] - 1.0
+    p_a = (m_a[labels] - (data.w == a)) / denom
+    p_b = (m_b[labels] - (data.w == b)) / denom
+    return float(np.mean((p_b * (data.w == a) - p_a * (data.w == b)) * data.y))
+
+
+def _ref_statistic_weights(name, w2d, strata):
+    labels = strata.labels
+    n_k = strata.counts[labels].astype(float)
+    m1 = _ref_stratum_counts(w2d, strata)[:, labels]
+    m0 = n_k[None, :] - m1
+    treated = w2d == 1
+    control = ~treated
+    p1 = (m1 - treated) / (n_k - 1.0)
+    p0 = (m0 - control) / (n_k - 1.0)
+    if name == "t_hat":
+        return p0 * treated - p1 * control
+    if name == "wmd":
+        return n_k * (treated / np.maximum(1.0, m1) - control / np.maximum(1.0, m0))
+    floor = 1.0 / (2.0 * n_k - 2.0)
+    return treated / np.maximum(p1, floor) - control / np.maximum(p0, floor)
+
+
+def _dirichlet_pool(rng, k_n, treatments):
+    table = {}
+    for w in treatments:
+        for k in range(k_n):
+            share = rng.dirichlet(np.ones(k_n - 1))
+            others = [j for j in range(k_n) if j != k]
+            table.update({(w, j, k): float(s) for j, s in zip(others, share)})
+    return lambda w, j, k: table[(w, j, k)]
+
+
+def _random_design(rng):
+    k_n = int(rng.integers(1, 5))
+    sizes = rng.integers(2, 7, k_n)
+    x = np.repeat(np.arange(k_n), sizes)
+    rng.shuffle(x)
+    lam1 = rng.choice([0.05, 0.2, 0.5, 0.8, 0.95], k_n)
+    w = (rng.random(x.size) < lam1[x]).astype(np.int64)
+    y = rng.normal(0.0, 10.0, x.size) * rng.choice([1e-3, 1.0, 1e3], x.size)
+    lo0, lo1 = rng.normal(0.0, 5.0, 2)
+    cfg = FsConfig.binary_ate(lo0, lo0 + rng.uniform(0, 20), lo1, lo1 + rng.uniform(0, 20))
+    pool = _dirichlet_pool(rng, k_n, (0, 1)) if k_n > 1 and rng.random() < 0.5 else None
+    return (y, w, x), cfg, pool
+
+
+def _designs():
+    dgp = FiniteSampleDgp(n=50, lam1=0.02)
+    for seed in range(10):
+        data = dgp.generate(RngHandle(seed).generator())
+        yield f"dgp{seed}", data, dgp.fs_config(), None
+    rng = np.random.default_rng(20260)
+    for i in range(300):
+        (y, w, x), cfg, pool = _random_design(rng)
+        yield f"random{i}", Dataset.from_arrays(y, w, x, treatments=(0, 1)), cfg, pool
+
+
+class TestCollapseMatchesLoopReference:
+    """The vectorised finite-sample layer against the loops it replaced."""
+
+    def test_every_float_equals_the_loop_reference(self):
+        for name, data, cfg, pool in _designs():
+            strata = build_strata(data)
+            for w in (0, 1):
+                m_w = _ref_treated_counts(data, strata, w)
+                assert np.array_equal(strata.count(data.w == w), m_w), name
+                for k in range(strata.n_strata):
+                    ref = _ref_shrinkage_mean(data, strata, w, k)
+                    assert shrinkage_mean(data, strata, w, k) == ref, name
+                for i in range(data.n):
+                    k = strata.labels[i]
+                    ref = strata.counts[k] / (1.0 + m_w[k] - (data.w[i] == w))
+                    assert loo_shrinkage_weight(data, strata, i, w) == ref, name
+            est = fpw_set(data, strata, cfg, pool_weights=pool)
+            ref_per_w = {
+                w: tuple(
+                    _ref_pooled_mean_endpoint(data, strata, w, t, pool) for t in cfg.bound_for(w)
+                )
+                for w in (0, 1)
+            }
+            for w in (0, 1):
+                assert (est.per_w[w].lo, est.per_w[w].hi) == ref_per_w[w], name
+            ref = _ref_fpw_interval(data, strata, cfg, ref_per_w)
+            assert (est.interval.lo, est.interval.hi) == ref, name
+            assert wmd_estimate(data, strata, cfg) == _ref_wmd_estimate(data, strata, cfg), name
+            assert ipw_fs_estimate(data, strata, cfg) == _ref_ipw_fs_estimate(data, strata, cfg)
+            assert scaled_ate(data, strata, 1, 0) == _ref_scaled_ate(data, strata, 1, 0), name
+
+    def test_batched_counts_and_statistic_weights(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            (y, w, x), _, _ = _random_design(rng)
+            data = Dataset.from_arrays(y, w, x, treatments=(0, 1))
+            strata = build_strata(data)
+            batch = rng.integers(0, 2, (int(rng.integers(1, 40)), data.n))
+            ref = _ref_stratum_counts(batch, strata)
+            got = strata.count(batch == 1)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(strata.count(batch[0] == 1), ref[0])
+            for stat in STATISTICS:
+                q = statistic_weights(stat, batch, strata)
+                assert q.tobytes() == _ref_statistic_weights(stat, batch, strata).tobytes()

@@ -296,6 +296,21 @@ class TestBasisMatrix:
         np.testing.assert_array_equal(basis.matrix(data)[:, 0], 2.0)
         assert basis.matrix(data).tobytes() == _per_row(basis, data).tobytes()
 
+    @pytest.mark.parametrize(
+        "basis", [BasisSpec.linear(), BasisSpec.polynomial(2)], ids=lambda b: b.name
+    )
+    def test_scalar_bases_reject_vector_covariates(self, basis):
+        data = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], np.ones((3, 1)), mode="large")
+        with pytest.raises(ConfigError, match=basis.name):
+            basis.matrix(data)
+
+    def test_constant_and_custom_bases_take_vector_covariates(self):
+        x = np.arange(6.0).reshape(3, 2)
+        data = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], x, mode="large")
+        np.testing.assert_array_equal(BasisSpec.constant().matrix(data), np.ones((3, 1)))
+        custom = BasisSpec(fn=lambda row: (1.0, row[0] * row[1]), dim=2)
+        np.testing.assert_array_equal(custom.matrix(data), [[1.0, 0.0], [1.0, 6.0], [1.0, 20.0]])
+
 
 class TestNormalQuantile:
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999])

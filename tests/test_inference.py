@@ -15,7 +15,6 @@ from spw.inference import (
     observed_statistic,
     omega_parts,
     pvalue_bounds,
-    randomized_tiebreak_policy,
     statistic_weights,
 )
 
@@ -327,17 +326,6 @@ class TestModelClass:
     def test_all_strata_required(self):
         with pytest.raises(ConfigError):
             ModelClass.from_lambda_boxes({0: (0.1, 0.2)}, n_strata=2)
-
-
-class TestTiebreakPolicy:
-    def test_equal_counts_as_exceedance(self):
-        policy = randomized_tiebreak_policy()
-        assert policy.exceeds(1.0, 1.0)
-        assert not policy.exceeds(0.999, 1.0)
-
-    def test_only_geq_supported(self):
-        with pytest.raises(ConfigError):
-            randomized_tiebreak_policy({"comparison": ">"})
 
 
 class TestHetAndGrid:

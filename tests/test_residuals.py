@@ -31,8 +31,6 @@ from spw.residuals import (
     WeightedAipw,
     conditional_mean,
     dr_probe,
-    eval_cac_residual,
-    eval_cqr_residual,
     eval_residual,
     gateaux_derivative,
 )
@@ -394,7 +392,7 @@ class TestCacResidual:
         phi = {0: 1 - e, 1: e}
         nuis = CacNuisances(phi=lambda wt, x: phi[wt], gamma=lambda wt, x: 0.0)
         obs = Observation(y, w, "a")
-        value = eval_cac_residual(kind, obs, theta, nuis)
+        value = eval_residual(kind, obs, theta, nuis)
         stab = (1 - e) * e
         plain = stab * ((1.0 if w == 1 else 0.0) * y / e - (1.0 if w == 0 else 0.0) * y / (1 - e) - theta)
         assert value == pytest.approx(plain, abs=1e-12)
@@ -408,13 +406,13 @@ class TestCacResidual:
         )
         nuis = CacNuisances(phi=lambda w, x: 0.5, gamma=lambda w, x: 0.0)
         with pytest.raises(StabilizerBoundViolated):
-            eval_cac_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
+            eval_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
 
     def test_phi_out_of_range(self):
         kind = MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0))
         nuis = CacNuisances(phi=lambda w, x: 1.2, gamma=lambda w, x: 0.0)
         with pytest.raises(NuisanceOutOfRange):
-            eval_cac_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
+            eval_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
 
 
 class TestCqrResidual:
@@ -455,7 +453,7 @@ class TestCqrResidual:
         kind = MultivaluedCqr(v=0.5, w=1)
         nuis = CqrNuisances(phi=lambda w, x: 0.5, gamma=lambda u, w, x: 1.5)
         with pytest.raises(NuisanceOutOfRange):
-            eval_cqr_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
+            eval_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
 
     def test_level_domain(self):
         with pytest.raises(ConfigError):

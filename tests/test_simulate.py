@@ -12,8 +12,6 @@ from spw.simulate import (
     LargeSampleDgp,
     density_summary,
     fs_study_estimators,
-    gen_finite_sample,
-    gen_large_sample,
     gpw_study_estimator,
     run_study,
     scaled_ate_study_estimator,
@@ -22,34 +20,34 @@ from spw.simulate import (
 
 class TestLargeSampleDgp:
     def test_propensity_column_is_x_fourth(self):
-        data = gen_large_sample(LargeSampleDgp(n=500), RngHandle(1).generator())
+        data = LargeSampleDgp(n=500).generate(RngHandle(1).generator())
         np.testing.assert_array_equal(data.propensity, np.asarray(data.x) ** 4)
 
     def test_treated_share_matches_moment(self):
         # E[W] = E[X^4] = 1/5.
-        data = gen_large_sample(LargeSampleDgp(n=20000), RngHandle(2).generator())
+        data = LargeSampleDgp(n=20000).generate(RngHandle(2).generator())
         se = float(np.std(data.w)) / np.sqrt(data.n)
         assert abs(float(np.mean(data.w)) - 0.2) < 3 * se + 1e-3
 
     def test_average_effect_is_two(self):
-        data = gen_large_sample(LargeSampleDgp(n=20000), RngHandle(3).generator())
+        data = LargeSampleDgp(n=20000).generate(RngHandle(3).generator())
         tau = 3.0 - 2.0 * np.asarray(data.x)
         assert float(np.mean(tau)) == pytest.approx(2.0, abs=0.02)
 
     def test_passes_validation(self):
-        data = gen_large_sample(LargeSampleDgp(n=100), RngHandle(4).generator())
+        data = LargeSampleDgp(n=100).generate(RngHandle(4).generator())
         assert data.mode == "large" and data.treatments == (0, 1)
 
 
 class TestFiniteSampleDgp:
     def test_stratum_sizes(self):
-        data = gen_finite_sample(FiniteSampleDgp(n=50), RngHandle(5).generator())
+        data = FiniteSampleDgp(n=50).generate(RngHandle(5).generator())
         strata = build_strata(data)
         np.testing.assert_array_equal(np.sort(strata.counts), [10, 40])
 
     def test_control_mean_is_ten(self):
         dgp = FiniteSampleDgp(n=5000, lam1=0.5)
-        data = gen_finite_sample(dgp, RngHandle(6).generator())
+        data = dgp.generate(RngHandle(6).generator())
         controls = data.y[data.w == 0]
         assert float(np.mean(controls)) == pytest.approx(10.0, abs=0.15)
 
@@ -59,7 +57,7 @@ class TestFiniteSampleDgp:
 
     def test_bounds_cover_outcomes(self):
         dgp = FiniteSampleDgp(n=500, lam1=0.3)
-        data = gen_finite_sample(dgp, RngHandle(7).generator())
+        data = dgp.generate(RngHandle(7).generator())
         b = dgp.response_bounds()
         y0 = data.y[data.w == 0]
         y1 = data.y[data.w == 1]
@@ -68,11 +66,11 @@ class TestFiniteSampleDgp:
 
 
 class TestRunStudy:
-    def test_seed_determinism_and_threads(self):
+    def test_seed_determinism(self):
         dgp = FiniteSampleDgp(n=50, lam1=0.1)
         estimators = fs_study_estimators(dgp.fs_config())
         a = run_study(dgp, estimators, reps=20, seed=42)
-        b = run_study(dgp, estimators, reps=20, seed=42, threads=4)
+        b = run_study(dgp, estimators, reps=20, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a.columns == b.columns
 

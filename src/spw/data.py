@@ -365,8 +365,10 @@ class StrataIndex:
         return len(self.members)
 
     def count(self, mask: np.ndarray) -> np.ndarray:
-        """Number of True entries of ``mask`` per stratum, along its last
-        axis: (K,) for one assignment (n,), (B, K) for a batch (B, n)."""
+        """Number of True entries of the boolean ``mask`` per stratum, along
+        its last axis: (K,) for one assignment (n,), (B, K) for a batch (B, n)."""
+        if mask.ndim == 1:
+            return np.bincount(self.labels[mask], minlength=self.n_strata)
         return np.stack([mask[..., idx].sum(axis=-1) for idx in self.members], axis=-1)
 
 

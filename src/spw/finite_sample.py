@@ -9,7 +9,6 @@ assignment distribution of small designs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -20,6 +19,9 @@ from .data import Dataset, StrataIndex
 from .errors import ConfigError, EnumerationTooLarge, FlavorMismatch
 
 ENUMERATION_LIMIT = 2**24
+# Cells (assignments x units) per enumeration chunk: each (chunk, n) array
+# stays at 64 KiB, below glibc's default mmap threshold.
+_CHUNK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -329,17 +331,22 @@ def enumerate_expectation(
     """Exact expectation of a statistic over all treatment assignments.
 
     ``potential_outcomes`` is (n, n_treatments): unit i's outcome under
-    each treatment, in the model's treatment order. The statistic
-    receives the assignment vector (treatment values) and the realized
-    outcomes; vector-valued statistics (e.g. interval endpoints) are
-    integrated componentwise. Assignment probabilities multiply across
-    units within the model, and their total is validated to 1.
+    each treatment, in the model's treatment order, for the n units of
+    ``strata``. The statistic receives the assignment vector (treatment
+    values) and the realized outcomes; vector-valued statistics (e.g.
+    interval endpoints) are integrated componentwise and must keep one
+    width. Assignment probabilities multiply across units within the
+    model, and their total is validated to 1.
     """
     pot = np.asarray(potential_outcomes, dtype=float)
-    n = pot.shape[0]
+    n = strata.labels.shape[0]
     arms = len(model.treatments)
     if pot.shape != (n, arms):
-        raise ConfigError("potential outcomes must be (n, n_treatments)")
+        raise ConfigError(f"potential outcomes must be (n, n_treatments) = ({n}, {arms})")
+    if model.lam.shape[0] != strata.n_strata:
+        raise ConfigError(
+            f"assignment model has {model.lam.shape[0]} strata, the design {strata.n_strata}"
+        )
     size = arms**n
     if size > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(size, ENUMERATION_LIMIT)
@@ -347,25 +354,35 @@ def enumerate_expectation(
     lam_per_unit = model.lam[strata.labels, :]  # (n, arms)
     treat_values = np.asarray(model.treatments)
     rows = np.arange(n)
+    # Unit 0 is the slowest digit of an assignment's code, as in
+    # itertools.product(range(arms), repeat=n).
+    place = arms ** np.arange(n - 1, -1, -1)
+    chunk = max(1, _CHUNK_CELLS // n)
 
     prob_acc = _Accumulator()
     stat_acc: list[_Accumulator] | None = None
     scalar_out = True
-    for assign in itertools.product(range(arms), repeat=n):
-        idx = np.asarray(assign)
-        p = float(np.prod(lam_per_unit[rows, idx]))
-        y = pot[rows, idx]
-        value = statistic(treat_values[idx], y)
-        if stat_acc is None:
-            scalar_out = np.isscalar(value) or np.ndim(value) == 0
-            width = 1 if scalar_out else len(value)
-            stat_acc = [_Accumulator() for _ in range(width)]
-        if scalar_out:
-            stat_acc[0].add(p * float(value))
-        else:
-            for acc, v in zip(stat_acc, value):
-                acc.add(p * float(v))
-        prob_acc.add(p)
+    for start in range(0, size, chunk):
+        codes = np.arange(start, min(start + chunk, size))
+        idx = codes[:, None] // place % arms  # (chunk, n) treatment indices
+        # A row product multiplies left to right, as np.prod of one row does.
+        probs = np.prod(lam_per_unit[rows, idx], axis=1).tolist()
+        for p, w_vec, y_vec in zip(probs, treat_values[idx], pot[rows, idx]):
+            value = statistic(w_vec, y_vec)
+            if stat_acc is None:
+                scalar_out = np.isscalar(value) or np.ndim(value) == 0
+                width = 1 if scalar_out else len(value)
+                stat_acc = [_Accumulator() for _ in range(width)]
+            if scalar_out:
+                stat_acc[0].add(p * float(value))
+            else:
+                if len(value) != width:
+                    raise ConfigError(
+                        f"statistic returned {len(value)} values after returning {width}"
+                    )
+                for acc, v in zip(stat_acc, value):
+                    acc.add(p * float(v))
+            prob_acc.add(p)
 
     if abs(prob_acc.value() - 1.0) > 1e-12:
         raise ConfigError(f"assignment probabilities sum to {prob_acc.value()!r}, not 1")

@@ -1,5 +1,6 @@
 """Tests for the stratified finite-sample estimators and the enumeration oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from spw.finite_sample import (
     AssignmentModel,
     FsConfig,
     SetEstimate,
+    _Accumulator,
     enumerate_expectation,
     fpw_set,
     ipw_fs_estimate,
@@ -369,6 +371,31 @@ class TestEnumerateExpectation:
         value = enumerate_expectation(lambda w, y: float(np.sum(y)), pot, model, strata)
         assert value == pytest.approx(16.5, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [4, 8], ids=["fewer", "more"])
+    def test_outcome_rows_must_match_units(self, rows):
+        data, strata = _make([0.0] * 6, [0] * 6, [1, 1, 1, 2, 2, 2])
+        model = AssignmentModel.binary([0.3, 0.6])
+        with pytest.raises(ConfigError, match="potential outcomes"):
+            enumerate_expectation(lambda w, y: float(np.sum(y)), np.ones((rows, 2)), model, strata)
+
+    @pytest.mark.parametrize("lam1", [[0.3], [0.3, 0.6, 0.5]], ids=["fewer", "more"])
+    def test_model_strata_must_match_design(self, lam1):
+        data, strata = _make([0.0] * 4, [0] * 4, [1, 1, 2, 2])
+        model = AssignmentModel.binary(lam1)
+        with pytest.raises(ConfigError, match="strata"):
+            enumerate_expectation(lambda w, y: 1.0, np.zeros((4, 2)), model, strata)
+
+    def test_statistic_width_must_not_change(self):
+        data, strata = _make([0.0] * 2, [0] * 2, [1, 1])
+        widths = iter([2, 3, 3, 3])
+        with pytest.raises(ConfigError, match="returned 3 values after returning 2"):
+            enumerate_expectation(
+                lambda w, y: np.ones(next(widths)),
+                np.zeros((2, 2)),
+                AssignmentModel.binary([0.5]),
+                strata,
+            )
+
 
 class TestSetEstimate:
     def test_ordering_enforced(self):
@@ -580,7 +607,90 @@ class TestCollapseMatchesLoopReference:
             got = strata.count(batch == 1)
             assert got.shape == ref.shape
             assert np.array_equal(got, ref)
-            assert np.array_equal(strata.count(batch[0] == 1), ref[0])
+            for row, ref_row in zip(batch, ref):  # one assignment: the bincount path
+                one = strata.count(row == 1)
+                assert one.dtype == np.int64 and np.array_equal(one, ref_row)
             for stat in STATISTICS:
                 q = statistic_weights(stat, batch, strata)
                 assert q.tobytes() == _ref_statistic_weights(stat, batch, strata).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Loop reference: the per-assignment enumeration that the chunked one
+# replaced. Every result, and every call to the statistic, must match it.
+# ---------------------------------------------------------------------------
+
+
+def _ref_enumerate_expectation(statistic, potential_outcomes, model, strata):
+    pot = np.asarray(potential_outcomes, dtype=float)
+    n = pot.shape[0]
+    lam_per_unit = model.lam[strata.labels, :]
+    treat_values = np.asarray(model.treatments)
+    rows = np.arange(n)
+    prob_acc = _Accumulator()
+    stat_acc = None
+    scalar_out = True
+    for assign in itertools.product(range(len(model.treatments)), repeat=n):
+        idx = np.asarray(assign)
+        p = float(np.prod(lam_per_unit[rows, idx]))
+        value = statistic(treat_values[idx], pot[rows, idx])
+        if stat_acc is None:
+            scalar_out = np.isscalar(value) or np.ndim(value) == 0
+            stat_acc = [_Accumulator() for _ in range(1 if scalar_out else len(value))]
+        if scalar_out:
+            stat_acc[0].add(p * float(value))
+        else:
+            for acc, v in zip(stat_acc, value):
+                acc.add(p * float(v))
+        prob_acc.add(p)
+    if scalar_out:
+        return stat_acc[0].value()
+    return np.array([acc.value() for acc in stat_acc])
+
+
+def _random_enumeration(rng):
+    """A random design, multivalued model and potential outcomes."""
+    arms = int(rng.choice([2, 3]))
+    n = int(rng.integers(1, 11 if arms == 2 else 9))
+    k_n = int(rng.integers(1, min(3, n) + 1))
+    labels = np.concatenate([np.arange(k_n), rng.integers(0, k_n, n - k_n)])
+    rng.shuffle(labels)
+    data = Dataset.from_arrays(np.zeros(n), np.zeros(n, dtype=int), labels)
+    strata = build_strata(data, min_count=1)
+    lam = rng.uniform(0.02, 1.0, (k_n, arms))
+    lam /= lam.sum(axis=1, keepdims=True)
+    treatments = tuple(sorted(rng.choice(6, arms, replace=False).tolist()))
+    pot = rng.normal(0.0, 10.0, (n, arms)) * rng.choice([1e-3, 1.0, 1e3], (n, arms))
+    return pot, AssignmentModel(lam, treatments), strata
+
+
+def _recording(stat, log):
+    """``stat``, logging the dtypes and bytes of every (w, y) it receives."""
+
+    def wrapped(w, y):
+        log.append((w.dtype, w.tobytes(), y.dtype, y.tobytes()))
+        return stat(w, y)
+
+    return wrapped
+
+
+class TestChunkedEnumerationMatchesLoopReference:
+    """The chunked enumeration against the per-assignment loop it replaced."""
+
+    STATISTICS = {
+        "scalar": lambda w, y: float(np.dot(w, y) - y.sum() / w.size),
+        "tuple": lambda w, y: (float(y.max()), float(np.mean(y * (w == w[0])))),
+        "ndarray": lambda w, y: np.cumsum(y * w)[-3:],
+    }
+
+    def test_results_and_statistic_calls_equal_the_loop(self):
+        rng = np.random.default_rng(20261)
+        for case in range(60):
+            pot, model, strata = _random_enumeration(rng)
+            for kind, stat in self.STATISTICS.items():
+                calls, ref_calls = [], []
+                got = enumerate_expectation(_recording(stat, calls), pot, model, strata)
+                ref = _ref_enumerate_expectation(_recording(stat, ref_calls), pot, model, strata)
+                assert calls == ref_calls, (case, kind)
+                assert type(got) is type(ref), (case, kind)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (case, kind)

@@ -278,7 +278,9 @@ class TestBasisMatrix:
         y = rng.normal(size=n)
         return Dataset.from_arrays(y, rng.integers(0, 2, n), x, mode=request.param)
 
-    @pytest.mark.parametrize("basis", [BasisSpec.constant(), BasisSpec.linear()], ids=str)
+    @pytest.mark.parametrize(
+        "basis", [BasisSpec.constant(), BasisSpec.linear()], ids=lambda b: b.name
+    )
     def test_const_and_linear_exact(self, data, basis):
         z = basis.matrix(data)
         assert z.dtype == np.float64 and z.flags.c_contiguous

@@ -292,12 +292,14 @@ def scaled_ate(data: Dataset, strata: StrataIndex, a: int, b: int) -> float:
         raise ConfigError("scaled effect requires two distinct treatments")
     labels = strata.labels
     counts = strata.counts
-    m_a = strata.count(data.w == a)
-    m_b = strata.count(data.w == b)
+    is_a = data.w == a
+    is_b = data.w == b
+    m_a = strata.count(is_a)
+    m_b = strata.count(is_b)
     denom = counts[labels] - 1.0
-    p_a = (m_a[labels] - (data.w == a)) / denom
-    p_b = (m_b[labels] - (data.w == b)) / denom
-    contrib = (p_b * (data.w == a) - p_a * (data.w == b)) * data.y
+    p_a = (m_a[labels] - is_a) / denom
+    p_b = (m_b[labels] - is_b) / denom
+    contrib = (p_b * is_a - p_a * is_b) * data.y
     return float(np.mean(contrib))
 
 
@@ -373,15 +375,21 @@ def enumerate_expectation(
                 scalar_out = np.isscalar(value) or np.ndim(value) == 0
                 width = 1 if scalar_out else len(value)
                 stat_acc = [_Accumulator() for _ in range(width)]
-            if scalar_out:
-                stat_acc[0].add(p * float(value))
-            else:
-                if len(value) != width:
-                    raise ConfigError(
-                        f"statistic returned {len(value)} values after returning {width}"
-                    )
-                for acc, v in zip(stat_acc, value):
-                    acc.add(p * float(v))
+            try:
+                if scalar_out:
+                    stat_acc[0].add(p * float(value))
+                else:
+                    if len(value) != width:
+                        raise ConfigError(
+                            f"statistic returned {len(value)} values after returning {width}"
+                        )
+                    for acc, v in zip(stat_acc, value):
+                        acc.add(p * float(v))
+            except TypeError:
+                before = "a scalar" if scalar_out else f"{width} values"
+                raise ConfigError(
+                    f"statistic returned {value!r} after returning {before}"
+                ) from None
             prob_acc.add(p)
 
     if abs(prob_acc.value() - 1.0) > 1e-12:

@@ -141,13 +141,28 @@ def _solve_psd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, fl
     return a_inv @ b, a_inv, condition
 
 
-def _sandwich(z: np.ndarray, bread: np.ndarray, score_resid: np.ndarray):
-    """bread^-1 E[Z Z' m^2] bread^-1 for per-observation moments m Z."""
+def _moment_fit(z: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Solve E_n[Z (b - a Z'beta)] = 0 with its sandwich covariance.
+
+    Returns (beta, sigma, condition): sigma is bread^-1 E_n[Z Z' r^2]
+    bread^-1 for the residual r = b - a Z'beta and bread = E_n[a Z Z'].
+    """
     n = z.shape[0]
-    meat = (z * (score_resid**2)[:, None]).T @ z / n
-    _, bread_inv, condition = _solve_psd(bread, np.eye(bread.shape[0]))
+    bread = (z * a[:, None]).T @ z / n
+    score = (z * b[:, None]).mean(axis=0)
+    beta, bread_inv, condition = _solve_psd(bread, score)
+    resid = b - a * (z @ beta)
+    meat = (z * (resid**2)[:, None]).T @ z / n
     sigma = bread_inv @ meat @ bread_inv
-    return 0.5 * (sigma + sigma.T), condition
+    return beta, 0.5 * (sigma + sigma.T), condition
+
+
+def _design(data: Dataset, e, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Basis matrix Z and propensity values e, checked, for every fit."""
+    z = basis.matrix(data)
+    if data.n <= basis.dim:
+        raise ConfigError("sample size must exceed the basis dimension")
+    return z, _propensity_values(data, e)
 
 
 def gpw_estimate(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> GpwFit:
@@ -158,16 +173,9 @@ def gpw_estimate(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> GpwFit:
     callable on the covariate, an array of per-row values, or None to
     use the dataset's propensity column.
     """
-    z = basis.matrix(data)
-    if data.n <= basis.dim:
-        raise ConfigError("sample size must exceed the basis dimension")
-    ev = _propensity_values(data, e)
+    z, ev = _design(data, e, basis)
     q = ev * (1.0 - ev)
-    bread = (z * (q ** (nu + 1.0))[:, None]).T @ z / data.n
-    score = (z * ((q**nu) * (data.w - ev) * data.y)[:, None]).mean(axis=0)
-    beta, _, condition = _solve_psd(bread, score)
-    resid = (q**nu) * ((data.w - ev) * data.y - q * (z @ beta))
-    sigma, _ = _sandwich(z, bread, resid)
+    beta, sigma, condition = _moment_fit(z, q ** (nu + 1.0), q**nu * (data.w - ev) * data.y)
     return GpwFit(beta=beta, sigma=sigma, nu=nu, n=data.n, condition=condition)
 
 
@@ -178,19 +186,14 @@ def gpw_as_weighted_ipw(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> 
     probability pseudo-outcome reproduce the direct fit; nu = -1 gives
     the usual unweighted inverse probability estimator.
     """
-    z = basis.matrix(data)
-    ev = _propensity_values(data, e)
+    z, ev = _design(data, e, basis)
     q = ev * (1.0 - ev)
     if np.any(q <= 1e-300):
         i = int(np.argmax(q <= 1e-300))
         raise PropensityOnBoundary(i, float(ev[i]))
     omega = q ** (nu + 1.0)
-    bread = (z * omega[:, None]).T @ z / data.n
     pseudo = (data.w - ev) * data.y / q
-    score = (z * (omega * pseudo)[:, None]).mean(axis=0)
-    beta, _, condition = _solve_psd(bread, score)
-    resid = (q**nu) * ((data.w - ev) * data.y - q * (z @ beta))
-    sigma, _ = _sandwich(z, bread, resid)
+    beta, sigma, condition = _moment_fit(z, omega, omega * pseudo)
     return GpwFit(beta=beta, sigma=sigma, nu=nu, n=data.n, condition=condition)
 
 
@@ -244,57 +247,32 @@ def alt_estimate(data: Dataset, e, basis: BasisSpec, variant: str) -> GpwFit:
     """
     if variant not in ALT_VARIANTS:
         raise ConfigError(f"unknown estimator variant {variant!r}")
-    z = basis.matrix(data)
-    ev = _propensity_values(data, e)
+    z, ev = _design(data, e, basis)
     w = data.w.astype(float)
     y = data.y
 
     if variant == "overlap_weight_wate":
         if not np.allclose(z, 1.0):
             raise ConfigError("overlap weighting requires the constant basis Z = 1")
-        a1 = (1.0 - ev) * w
-        a0 = ev * (1.0 - w)
-        d1, d0 = float(a1.mean()), float(a0.mean())
-        if d1 == 0.0 or d0 == 0.0:
+        if w.all() or not w.any():
             raise DenominatorZero("no treated or no control overlap mass")
-        alpha1 = float((a1 * y).mean() / d1)
-        alpha0 = float((a0 * y).mean() / d0)
-        g1 = a1 * (y - alpha1)
-        g0 = a0 * (y - alpha0)
-        meat = np.cov(np.stack([g1, g0]), bias=True)
-        ginv = np.diag([1.0 / d1, 1.0 / d0])
-        cov_alpha = ginv @ meat @ ginv
+        # Arm means (alpha1, alpha0) on the basis [W, 1 - W], then their contrast.
+        a = w * (1.0 - ev) + ev * (1.0 - w)
+        alpha, cov_alpha, condition = _moment_fit(np.column_stack((w, 1.0 - w)), a, a * y)
         cvec = np.array([1.0, -1.0])
-        sigma = np.array([[float(cvec @ cov_alpha @ cvec)]])
-        condition = max(d1, d0) / min(d1, d0)
-        return GpwFit(
-            beta=np.array([alpha1 - alpha0]),
-            sigma=sigma,
-            nu=None,
-            n=data.n,
-            condition=float(condition),
-            method=variant,
-        )
-
-    if variant == "robinson_regression":
-        weight = (w - ev) ** 2
-    elif variant == "half_weight":
-        weight = 0.5 * (w * (1.0 - ev) + ev * (1.0 - w))
-    else:  # one_sided_control_safe
-        if np.max(ev) >= 1.0 - 1e-12:
-            i = int(np.argmax(ev))
-            raise PropensityOnBoundary(i, float(ev[i]))
-        weight = w
-
-    if variant == "one_sided_control_safe":
-        score_obs = (w - ev) * y / (1.0 - ev)
+        beta = np.array([cvec @ alpha])
+        sigma = np.array([[cvec @ cov_alpha @ cvec]])
     else:
-        score_obs = (w - ev) * y
-    bread = (z * weight[:, None]).T @ z / data.n
-    score = (z * score_obs[:, None]).mean(axis=0)
-    beta, _, condition = _solve_psd(bread, score)
-    resid = score_obs - weight * (z @ beta)
-    sigma, _ = _sandwich(z, bread, resid)
+        if variant == "robinson_regression":
+            a, b = (w - ev) ** 2, (w - ev) * y
+        elif variant == "half_weight":
+            a, b = 0.5 * (w * (1.0 - ev) + ev * (1.0 - w)), (w - ev) * y
+        else:  # one_sided_control_safe
+            if np.max(ev) >= 1.0 - 1e-12:
+                i = int(np.argmax(ev))
+                raise PropensityOnBoundary(i, float(ev[i]))
+            a, b = w, (w - ev) * y / (1.0 - ev)
+        beta, sigma, condition = _moment_fit(z, a, b)
     return GpwFit(
         beta=beta, sigma=sigma, nu=None, n=data.n, condition=condition, method=variant
     )

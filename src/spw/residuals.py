@@ -130,6 +130,8 @@ class GnpwSpec:
     def __post_init__(self):
         if self.nu1 < 0 or self.nu2 < 0:
             raise ConfigError("GNPW power indices must be nonnegative")
+        if len(self.theta) != 4:
+            raise ConfigError("GNPW theta needs four coefficients")
         t1, t2, t3, t4 = self.theta
         if abs(t1 + t2 - 1.0) > THETA_TOL or abs(t3 + t4 + 1.0) > THETA_TOL:
             raise ConfigError(
@@ -380,49 +382,70 @@ MEAN_KINDS = (
 ResidualKind = object  # any of the kinds above, plus MultivaluedCac / MultivaluedCqr
 
 
+# Kinds whose JSON form is their name alone.
+_PLAIN_KINDS = {
+    cls.name: cls
+    for cls in (OneSidedControl, OneSidedTreated, WeightedAipw, HybridRegion, RobinsonClassic)
+}
+
+_REQUIRED = object()
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 def residual_from_json(obj: Mapping) -> ResidualKind:
     """Build a residual kind from its JSON wire form.
 
     The field names are part of the configuration contract, e.g.
     {"kind": "gnpw", "nu1": 0, "nu2": 0, "theta": [1, 0, -2, 1]}.
     Function-valued members (custom stabilizers, SRP triples) have no
-    JSON form and must be constructed in code.
+    JSON form and must be constructed in code. A missing or malformed
+    field raises ``ConfigError`` naming the kind and the field.
     """
-    try:
-        tag = obj["kind"]
-    except (KeyError, TypeError):
-        raise ConfigError("residual JSON must carry a 'kind' field") from None
-    plain = {
-        "one_sided_control": OneSidedControl,
-        "one_sided_treated": OneSidedTreated,
-        "weighted_aipw": WeightedAipw,
-        "hybrid_region": HybridRegion,
-        "robinson": RobinsonClassic,
-    }
-    if tag in plain:
-        return plain[tag]()
+    tag = obj.get("kind") if isinstance(obj, Mapping) else None
+    if not isinstance(tag, str):
+        raise ConfigError("residual JSON must carry a 'kind' field")
+
+    def field(name, convert, default=_REQUIRED):
+        if name not in obj:
+            if default is _REQUIRED:
+                raise ConfigError(f"residual kind {tag!r} needs the field {name!r}")
+            return default
+        try:
+            return convert(obj[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"residual kind {tag!r}: cannot read field {name!r}: {exc}"
+            ) from None
+
+    if tag in _PLAIN_KINDS:
+        return _PLAIN_KINDS[tag]()
     if tag == "gnpw":
         return Gnpw(
             GnpwSpec(
-                nu1=float(obj.get("nu1", 0.0)),
-                nu2=float(obj.get("nu2", 0.0)),
-                theta=tuple(float(t) for t in obj.get("theta", (0.0, 1.0, 0.0, -1.0))),
+                nu1=field("nu1", float, 0.0),
+                nu2=field("nu2", float, 0.0),
+                theta=field("theta", _floats, (0.0, 1.0, 0.0, -1.0)),
             )
         )
     if tag == "stabilized_aipw":
-        bound = obj.get("bound")
-        return StabilizedAipw(bound=None if bound is None else float(bound))
+        return StabilizedAipw(bound=field("bound", _optional_float, None))
     if tag == "srp_no_propensity":
-        return SrpNoPropensity(float(obj["theta1"]), float(obj["theta2"]))
+        return SrpNoPropensity(field("theta1", float), field("theta2", float))
     if tag == "multivalued_cac":
-        bound = obj.get("bound")
         return MultivaluedCac(
-            treatments=tuple(int(w) for w in obj["treatments"]),
-            kappa=tuple(float(k) for k in obj["kappa"]),
-            bound=None if bound is None else float(bound),
+            treatments=field("treatments", lambda ws: tuple(int(w) for w in ws)),
+            kappa=field("kappa", _floats),
+            bound=field("bound", _optional_float, None),
         )
     if tag == "multivalued_cqr":
-        return MultivaluedCqr(v=float(obj["v"]), w=int(obj["w"]))
+        return MultivaluedCqr(v=field("v", float), w=field("w", int))
     raise ConfigError(f"unknown residual kind {tag!r}")
 
 
@@ -455,16 +478,8 @@ def residual_to_json(kind: ResidualKind) -> dict:
         return out
     if isinstance(kind, MultivaluedCqr):
         return {"kind": "multivalued_cqr", "v": kind.v, "w": kind.w}
-    names = {
-        OneSidedControl: "one_sided_control",
-        OneSidedTreated: "one_sided_treated",
-        WeightedAipw: "weighted_aipw",
-        HybridRegion: "hybrid_region",
-        RobinsonClassic: "robinson",
-    }
-    for cls, name in names.items():
-        if isinstance(kind, cls):
-            return {"kind": name}
+    if isinstance(kind, tuple(_PLAIN_KINDS.values())):
+        return {"kind": kind.name}
     raise ConfigError(f"kind {type(kind).__name__} has no JSON form")
 
 

@@ -74,6 +74,7 @@ class TestResidualJson:
     @pytest.mark.parametrize("spec", CASES, ids=[c["kind"] for c in CASES])
     def test_round_trip(self, spec):
         kind = residual_from_json(spec)
+        assert residual_to_json(kind) == spec
         again = residual_from_json(residual_to_json(kind))
         assert again == kind
 

@@ -308,6 +308,20 @@ class TestCheck:
     def test_check_bad_kind_json_exit_2(self, capsys):
         assert main(["check", "--kind", "{not json"]) == 2
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ('{"kind": "srp_no_propensity"}', "theta1"),
+            ('{"kind": "multivalued_cqr", "w": 1}', "v"),
+            ('{"kind": "gnpw", "nu1": "abc"}', "nu1"),
+            ('{"kind": "gnpw", "theta": [1, 0]}', "theta"),
+        ],
+        ids=["srp-without-theta1", "cqr-without-v", "gnpw-nu1-text", "gnpw-short-theta"],
+    )
+    def test_check_malformed_kind_fields_exit_2(self, capsys, spec, field):
+        assert main(["check", "--kind", spec]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_values_flags_override(self, finite_csv, tmp_path):

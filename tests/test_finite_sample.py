@@ -396,6 +396,26 @@ class TestEnumerateExpectation:
                 strata,
             )
 
+    @pytest.mark.parametrize(
+        "outputs, before",
+        [
+            ([(1.0, 2.0), 3.0], "2 values"),
+            ([1.0, (1.0, 2.0)], "a scalar"),
+            ([1.0, np.array([5.0])], "a scalar"),
+        ],
+        ids=["vector-then-scalar", "scalar-then-tuple", "scalar-then-array"],
+    )
+    def test_statistic_must_not_switch_scalar_and_vector(self, outputs, before):
+        _, strata = _make([0.0] * 2, [0] * 2, [1, 1])
+        values = iter(outputs + [outputs[-1]] * 2)
+        with pytest.raises(ConfigError, match=f"after returning {before}"):
+            enumerate_expectation(
+                lambda w, y: next(values),
+                np.zeros((2, 2)),
+                AssignmentModel.binary([0.5]),
+                strata,
+            )
+
 
 class TestSetEstimate:
     def test_ordering_enforced(self):

@@ -12,10 +12,13 @@ from spw.errors import (
     NonPsdCovariance,
     PropensityOnBoundary,
     SingularDesign,
+    SpwError,
 )
 from spw.gpw import (
+    ALT_VARIANTS,
     BasisSpec,
     GpwFit,
+    _propensity_values,
     alt_estimate,
     gpw_as_weighted_ipw,
     gpw_estimate,
@@ -147,12 +150,23 @@ class TestGpwEstimate:
             gpw_estimate(data, None, CONST, nu=1.0)
         assert err.value.index == 1
 
-    def test_sample_must_exceed_basis_dimension(self):
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda d, b: gpw_estimate(d, None, b, nu=1.0),
+            lambda d, b: gpw_as_weighted_ipw(d, None, b, nu=1.0),
+            lambda d, b: alt_estimate(d, None, b, "robinson_regression"),
+            lambda d, b: alt_estimate(d, None, b, "half_weight"),
+            lambda d, b: alt_estimate(d, None, b, "one_sided_control_safe"),
+        ],
+        ids=["gpw", "weighted_ipw", "robinson_regression", "half_weight", "one_sided"],
+    )
+    def test_sample_must_exceed_basis_dimension(self, fit):
         data = Dataset.from_arrays(
             [1.0, 2.0], [1, 0], [0.2, 0.8], mode="large", propensity=[0.5, 0.5]
         )
         with pytest.raises(ConfigError):
-            gpw_estimate(data, None, BasisSpec.linear(), nu=1.0)
+            fit(data, BasisSpec.linear())
 
     def test_psd_tolerance_allows_tiny_negative_eigenvalue(self):
         sigma = np.array([[1.0, 0.0], [0.0, -1e-12]])
@@ -321,3 +335,222 @@ class TestNormalQuantile:
         fit = GpwFit(np.array([0.0]), np.array([[1.0]]), 1.0, 1, 1.0)
         _, hi = wald_ci(fit, [1.0], level)
         assert hi == pytest.approx(stats.norm.ppf(0.5 * (1.0 + level)), rel=0, abs=1e-15)
+
+
+# Reference: the per-estimator fits that the shared moment kernel replaced,
+# kept verbatim (with their own SVD solve and sandwich) as the oracle.
+
+
+def _ref_solve_psd(a, b):
+    u, s, vt = np.linalg.svd(a)
+    if s[-1] <= 0 or not np.isfinite(s[0] / s[-1]) or s[0] / s[-1] > 1e12:
+        raise SingularDesign(float(np.inf if s[-1] <= 0 else s[0] / s[-1]))
+    condition = float(s[0] / s[-1])
+    a_inv = vt.T @ np.diag(1.0 / s) @ u.T
+    return a_inv @ b, a_inv, condition
+
+
+def _ref_sandwich(z, bread, score_resid):
+    n = z.shape[0]
+    meat = (z * (score_resid**2)[:, None]).T @ z / n
+    _, bread_inv, condition = _ref_solve_psd(bread, np.eye(bread.shape[0]))
+    sigma = bread_inv @ meat @ bread_inv
+    return 0.5 * (sigma + sigma.T), condition
+
+
+def _ref_gpw_estimate(data, e, basis, nu):
+    z = basis.matrix(data)
+    if data.n <= basis.dim:
+        raise ConfigError("sample size must exceed the basis dimension")
+    ev = _propensity_values(data, e)
+    q = ev * (1.0 - ev)
+    bread = (z * (q ** (nu + 1.0))[:, None]).T @ z / data.n
+    score = (z * ((q**nu) * (data.w - ev) * data.y)[:, None]).mean(axis=0)
+    beta, _, condition = _ref_solve_psd(bread, score)
+    resid = (q**nu) * ((data.w - ev) * data.y - q * (z @ beta))
+    sigma, _ = _ref_sandwich(z, bread, resid)
+    return GpwFit(beta=beta, sigma=sigma, nu=nu, n=data.n, condition=condition)
+
+
+def _ref_gpw_as_weighted_ipw(data, e, basis, nu):
+    z = basis.matrix(data)
+    ev = _propensity_values(data, e)
+    q = ev * (1.0 - ev)
+    if np.any(q <= 1e-300):
+        i = int(np.argmax(q <= 1e-300))
+        raise PropensityOnBoundary(i, float(ev[i]))
+    omega = q ** (nu + 1.0)
+    bread = (z * omega[:, None]).T @ z / data.n
+    pseudo = (data.w - ev) * data.y / q
+    score = (z * (omega * pseudo)[:, None]).mean(axis=0)
+    beta, _, condition = _ref_solve_psd(bread, score)
+    resid = (q**nu) * ((data.w - ev) * data.y - q * (z @ beta))
+    sigma, _ = _ref_sandwich(z, bread, resid)
+    return GpwFit(beta=beta, sigma=sigma, nu=nu, n=data.n, condition=condition)
+
+
+def _ref_alt_estimate(data, e, basis, variant):
+    if variant not in ALT_VARIANTS:
+        raise ConfigError(f"unknown estimator variant {variant!r}")
+    z = basis.matrix(data)
+    ev = _propensity_values(data, e)
+    w = data.w.astype(float)
+    y = data.y
+    if variant == "overlap_weight_wate":
+        if not np.allclose(z, 1.0):
+            raise ConfigError("overlap weighting requires the constant basis Z = 1")
+        a1 = (1.0 - ev) * w
+        a0 = ev * (1.0 - w)
+        d1, d0 = float(a1.mean()), float(a0.mean())
+        if d1 == 0.0 or d0 == 0.0:
+            raise DenominatorZero("no treated or no control overlap mass")
+        alpha1 = float((a1 * y).mean() / d1)
+        alpha0 = float((a0 * y).mean() / d0)
+        g1 = a1 * (y - alpha1)
+        g0 = a0 * (y - alpha0)
+        meat = np.cov(np.stack([g1, g0]), bias=True)
+        ginv = np.diag([1.0 / d1, 1.0 / d0])
+        cov_alpha = ginv @ meat @ ginv
+        cvec = np.array([1.0, -1.0])
+        sigma = np.array([[float(cvec @ cov_alpha @ cvec)]])
+        condition = max(d1, d0) / min(d1, d0)
+        return GpwFit(
+            beta=np.array([alpha1 - alpha0]),
+            sigma=sigma,
+            nu=None,
+            n=data.n,
+            condition=float(condition),
+            method=variant,
+        )
+    if variant == "robinson_regression":
+        weight = (w - ev) ** 2
+    elif variant == "half_weight":
+        weight = 0.5 * (w * (1.0 - ev) + ev * (1.0 - w))
+    else:
+        if np.max(ev) >= 1.0 - 1e-12:
+            i = int(np.argmax(ev))
+            raise PropensityOnBoundary(i, float(ev[i]))
+        weight = w
+    if variant == "one_sided_control_safe":
+        score_obs = (w - ev) * y / (1.0 - ev)
+    else:
+        score_obs = (w - ev) * y
+    bread = (z * weight[:, None]).T @ z / data.n
+    score = (z * score_obs[:, None]).mean(axis=0)
+    beta, _, condition = _ref_solve_psd(bread, score)
+    resid = score_obs - weight * (z @ beta)
+    sigma, _ = _ref_sandwich(z, bread, resid)
+    return GpwFit(
+        beta=beta, sigma=sigma, nu=None, n=data.n, condition=condition, method=variant
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SpwError as exc:
+        return type(exc)
+
+
+def _random_design(rng, basis):
+    """Random binary design whose propensities reach down to 1e-6 (or up
+    to 1 - 1e-6), sometimes with an empty arm or a near-one propensity."""
+    n = int(rng.integers(basis.dim + 1, 120))
+    x = rng.uniform(-1.0, 2.0, n)
+    e = np.exp(rng.uniform(np.log(1e-6), np.log(0.5), n))
+    e = np.where(rng.random(n) < 0.5, e, 1.0 - e)
+    w = (rng.random(n) < e).astype(int)
+    if rng.random() < 0.1:
+        w[:] = w[0]  # one arm empty
+    if rng.random() < 0.1:
+        e[rng.integers(n)] = 1.0 - 1e-13  # trips the one-sided guard
+    y = rng.normal(0.0, 1.0, n) + 2.0 * x * w
+    return Dataset.from_arrays(y, w, x, mode="large", propensity=e)
+
+
+def _moment(recipe, data, basis):
+    """(Z, a, b) of the moment E_n[Z (b - a Z'beta)] = 0 a fit solves."""
+    z, e, w, y = basis.matrix(data), data.propensity, data.w.astype(float), data.y
+    q = e * (1.0 - e)
+    name, nu = recipe
+    if name == "gpw":
+        return z, q ** (nu + 1.0), q**nu * (w - e) * y
+    if name == "ipw":
+        return z, q ** (nu + 1.0), q ** (nu + 1.0) * ((w - e) * y / q)
+    if name == "robinson_regression":
+        return z, (w - e) ** 2, (w - e) * y
+    if name == "half_weight":
+        return z, 0.5 * (w * (1.0 - e) + e * (1.0 - w)), (w - e) * y
+    if name == "one_sided_control_safe":
+        return z, w, (w - e) * y / (1.0 - e)
+    a = w * (1.0 - e) + e * (1.0 - w)
+    return np.column_stack((w, 1.0 - w)), a, a * y
+
+
+def _rounding_scale(z, a, b):
+    """The sandwich with |b| + |a Z'beta| in place of |b - a Z'beta|.
+
+    The residual is a difference of those two terms, so evaluating it in
+    another order moves it by rounding relative to their size, not its
+    own; this is the matching scale for differences in sigma.
+    """
+    n = z.shape[0]
+    bread_inv = np.linalg.pinv((z * a[:, None]).T @ z / n)
+    beta = bread_inv @ (z * b[:, None]).mean(axis=0)
+    size = np.abs(b) + np.abs(a * (z @ beta))
+    meat = (np.abs(z) * (size**2)[:, None]).T @ np.abs(z) / n
+    return np.abs(bread_inv) @ meat @ np.abs(bread_inv)
+
+
+class TestMomentKernelMatchesReference:
+    """Every large-sample fit against the hand-written fit it replaced."""
+
+    BASES = [BasisSpec.constant(), BasisSpec.linear(), BasisSpec.polynomial(2)]
+    RECIPES = (
+        [(name, nu) for name in ("gpw", "ipw") for nu in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+        + [(variant, None) for variant in ALT_VARIANTS]
+    )
+
+    @staticmethod
+    def _fit(recipe, data, basis, reference=False):
+        name, nu = recipe
+        if name == "gpw":
+            fn = _ref_gpw_estimate if reference else gpw_estimate
+        elif name == "ipw":
+            fn = _ref_gpw_as_weighted_ipw if reference else gpw_as_weighted_ipw
+        else:
+            fn, nu = (_ref_alt_estimate if reference else alt_estimate), name
+        return _outcome(fn, data, None, basis, nu)
+
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.name)
+    def test_fits_equal_the_reference(self, basis):
+        rng = np.random.default_rng(20265)
+        seen = set()
+        for case in range(100):
+            data = _random_design(rng, basis)
+            for recipe in self.RECIPES:
+                got = self._fit(recipe, data, basis)
+                ref = self._fit(recipe, data, basis, reference=True)
+                where = (basis.name, case, recipe)
+                if isinstance(ref, type):
+                    assert got is ref, where
+                    seen.add(ref.__name__)
+                    continue
+                assert isinstance(got, GpwFit), (where, got)
+                assert (got.nu, got.n, got.method) == (ref.nu, ref.n, ref.method), where
+                scale = _rounding_scale(*_moment(recipe, data, basis))
+                if recipe[0] == "overlap_weight_wate":
+                    # Arm means divided out before, solved on [W, 1 - W] now.
+                    tol = 1e-12 * np.max(np.abs(data.y))
+                    assert abs(got.beta[0] - ref.beta[0]) <= tol, where
+                    assert got.condition == pytest.approx(ref.condition, rel=1e-12), where
+                    scale = scale.sum(keepdims=True)  # |(1, -1)| S |(1, -1)|'
+                else:
+                    assert got.beta.tobytes() == ref.beta.tobytes(), where
+                    assert got.condition == ref.condition, where
+                assert np.all(np.abs(got.sigma - ref.sigma) <= 1e-12 * scale), where
+                seen.add("fit")
+        # The designs reach the fitted case and the guards each recipe keeps.
+        expected = {"fit", "SingularDesign", "PropensityOnBoundary"}
+        expected |= {"DenominatorZero"} if basis.dim == 1 else {"ConfigError"}
+        assert expected <= seen

@@ -24,13 +24,10 @@ from .finite_sample import (
     FsConfig,
     SetEstimate,
     enumerate_expectation,
-    fpw_intervals,
     fpw_set,
     ipw_fs_estimate,
-    loo_shrinkage_weight,
     scaled_ate,
     shrinkage_mean,
-    unpooled_set,
     wmd_estimate,
 )
 from .gpw import BasisSpec, GpwFit, alt_estimate, gpw_as_weighted_ipw, gpw_estimate, pate_estimate, wald_ci

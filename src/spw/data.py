@@ -372,7 +372,7 @@ class StrataIndex:
         return np.stack([mask[..., idx].sum(axis=-1) for idx in self.members], axis=-1)
 
 
-def build_strata(data: Dataset, *, min_count: int = 2) -> StrataIndex:
+def build_strata(data: Dataset) -> StrataIndex:
     """Group observations by stratum; finite-sample mode requires N_k >= 2."""
     if data.mode != FINITE:
         raise FlavorMismatch("build_strata requires a finite-sample dataset")
@@ -380,7 +380,7 @@ def build_strata(data: Dataset, *, min_count: int = 2) -> StrataIndex:
     members = tuple(np.flatnonzero(data.x == code) for code in range(k))
     counts = np.array([m.size for m in members], dtype=np.int64)
     for code in range(k):
-        if counts[code] < min_count:
+        if counts[code] < 2:
             raise StratumTooSmall(data.x_labels[code], int(counts[code]))
     return StrataIndex(members=members, counts=counts, labels=data.x.copy())
 

@@ -1,10 +1,12 @@
 """Finite-sample estimators within discrete strata.
 
-Shrinkage-weighted means with exactly-known bias, unpooled and pooled
-unbiased set-estimators, the scaled average-effect unbiased statistic,
+Shrinkage-weighted means with exactly-known bias, the pooled unbiased
+set-estimator, the scaled average-effect unbiased statistic,
 inverse-weighting and modified-difference baselines, and an exact
 enumeration oracle that integrates any statistic over the full
-assignment distribution of small designs.
+assignment distribution of small designs. The scaled statistic, the
+inverse-weighting baseline and the weak-null test statistics of
+``inference`` share one leave-one-out stratum share (``_loo_share``).
 """
 
 from __future__ import annotations
@@ -96,12 +98,16 @@ def _check_finite(data: Dataset) -> None:
         raise FlavorMismatch("finite-sample estimators require a finite-sample dataset")
 
 
-def loo_shrinkage_weight(data: Dataset, strata: StrataIndex, i: int, w: int) -> float:
-    """Stabilized reciprocal weight N_k / (1 + same-treatment peers of i)."""
-    _check_finite(data)
-    k = int(strata.labels[i])
-    peers = int(strata.count(data.w == w)[k]) - int(data.w[i] == w)
-    return strata.counts[k] / (1.0 + peers)
+def _loo_share(
+    w: np.ndarray, strata: StrataIndex, arm: int, loo_size: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indicator 1{W_i = arm} and the leave-one-out share
+    (m_arm - 1{W_i = arm}) / (N_k - 1) of each unit, on one assignment
+    (n,) or a batch (B, n). ``loo_size`` is the per-unit N_k - 1, which
+    callers computing several shares build once."""
+    is_arm = w == arm
+    m = strata.count(is_arm)
+    return is_arm, (m.take(strata.labels, axis=-1) - is_arm) / loo_size
 
 
 def _stratum_sums(strata: StrataIndex, terms: np.ndarray) -> np.ndarray:
@@ -131,19 +137,6 @@ def shrinkage_mean(data: Dataset, strata: StrataIndex, w: int, k: int) -> float:
     (sum of w-outcomes over max(1, w-count))."""
     _check_finite(data)
     return _shrinkage_means(data, strata, w)[k]
-
-
-def unpooled_set(data: Dataset, strata: StrataIndex, w: int, k: int, cfg: FsConfig) -> SetEstimate:
-    """Per-stratum unbiased set-estimate of the response mean under w.
-
-    Collapses to the shrinkage mean when the stratum contains a w unit;
-    otherwise falls back to the declared response bounds.
-    """
-    _check_finite(data)
-    lo_c, hi_c = cfg.bound_for(w)
-    mu = shrinkage_mean(data, strata, w, k)
-    vacant = 1.0 if np.all(data.w[strata.members[k]] != w) else 0.0
-    return SetEstimate(mu + lo_c * vacant, mu + hi_c * vacant)
 
 
 PoolWeights = Callable[[int, int, int], float]
@@ -190,27 +183,6 @@ def _pooled_interval(
     return SetEstimate(*ends)
 
 
-def fpw_intervals(
-    data: Dataset,
-    strata: StrataIndex,
-    cfg: FsConfig,
-    pool_weights: PoolWeights | None = None,
-) -> dict[int, SetEstimate]:
-    """Pooled unbiased set-estimate of the response mean per treatment.
-
-    Units in strata with no w observations borrow the other strata's
-    (set-valued) estimates, weighted by stratum size by default or by
-    user-supplied nonnegative weights summing to one.
-    """
-    _check_finite(data)
-    out = {}
-    for w, kap in cfg.kappa.items():
-        if kap == 0.0:
-            continue
-        out[w] = _pooled_interval(data, strata, w, cfg.bound_for(w), pool_weights)
-    return out
-
-
 @dataclass(frozen=True)
 class FpwEstimate:
     """Contrast set-estimate with the per-treatment intervals behind it."""
@@ -231,12 +203,23 @@ def fpw_set(
 ) -> FpwEstimate:
     """Unbiased set-estimate of the contrast sum_w kappa_w mu_w.
 
-    The extrema of the contrast over the box of per-treatment intervals
+    ``per_w`` holds the pooled unbiased set-estimate of the response
+    mean per treatment with nonzero weight: units in strata with no w
+    observations borrow the other strata's (set-valued) estimates,
+    weighted by stratum size by default or by user-supplied nonnegative
+    weights summing to one. In a single stratum nothing is pooled, and
+    a vacant stratum's estimate is the declared response bounds. The
+    extrema of the contrast over the box of per-treatment intervals
     are attained endpoint-by-endpoint according to the sign of each
     kappa_w. The set collapses to a point when every stratum contains
     at least one unit of each treatment with nonzero weight.
     """
-    per_w = fpw_intervals(data, strata, cfg, pool_weights)
+    _check_finite(data)
+    per_w = {
+        w: _pooled_interval(data, strata, w, cfg.bound_for(w), pool_weights)
+        for w, kap in cfg.kappa.items()
+        if kap != 0.0
+    }
     lo_terms, hi_terms = [], []
     for w, interval in per_w.items():
         kap = cfg.kappa[w]
@@ -266,15 +249,14 @@ def ipw_fs_estimate(data: Dataset, strata: StrataIndex, cfg: FsConfig) -> float:
     """Clamped leave-one-out inverse-weighting baseline (biased)."""
     _check_finite(data)
     counts = strata.counts
-    labels = strata.labels
-    floor = 1.0 / (2.0 * counts - 2.0)
+    loo_size = counts[strata.labels] - 1.0
+    floor = 1.0 / (2.0 * loo_size)
     terms = []
     for w, kap in cfg.kappa.items():
         if kap == 0.0:
             continue
-        is_w = data.w == w
-        p_hat = np.maximum((strata.count(is_w) - 1) / (counts - 1), floor)
-        acc = _stratum_sums(strata, np.where(is_w, data.y / p_hat[labels], 0.0))
+        is_w, share = _loo_share(data.w, strata, w, loo_size)
+        acc = _stratum_sums(strata, np.where(is_w, data.y / np.maximum(share, floor), 0.0))
         terms.extend(kap * (counts / data.n) * acc / counts)
     return math.fsum(terms)
 
@@ -290,17 +272,18 @@ def scaled_ate(data: Dataset, strata: StrataIndex, a: int, b: int) -> float:
     _check_finite(data)
     if a == b:
         raise ConfigError("scaled effect requires two distinct treatments")
-    labels = strata.labels
-    counts = strata.counts
-    is_a = data.w == a
-    is_b = data.w == b
-    m_a = strata.count(is_a)
-    m_b = strata.count(is_b)
-    denom = counts[labels] - 1.0
-    p_a = (m_a[labels] - is_a) / denom
-    p_b = (m_b[labels] - is_b) / denom
-    contrib = (p_b * is_a - p_a * is_b) * data.y
-    return float(np.mean(contrib))
+    contrib = _scaled_weights(data.w, strata, a, b) * data.y
+    # np.mean's own arithmetic (one add.reduce, then / n), without its overhead.
+    return float(contrib.sum() / contrib.size)
+
+
+def _scaled_weights(w: np.ndarray, strata: StrataIndex, a: int, b: int) -> np.ndarray:
+    """Per-unit weights of the scaled effect statistic, p_b 1{W = a} -
+    p_a 1{W = b} with leave-one-out shares p, on (n,) or (B, n)."""
+    loo_size = strata.counts[strata.labels] - 1.0
+    is_a, p_a = _loo_share(w, strata, a, loo_size)
+    is_b, p_b = _loo_share(w, strata, b, loo_size)
+    return p_b * is_a - p_a * is_b
 
 
 class _Accumulator:

@@ -22,6 +22,7 @@ from .errors import (
     NonPsdCovariance,
     PropensityOnBoundary,
     SingularDesign,
+    UnknownTreatmentLabel,
 )
 
 CONDITION_LIMIT = 1e12
@@ -159,6 +160,10 @@ def _moment_fit(z: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def _design(data: Dataset, e, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
     """Basis matrix Z and propensity values e, checked, for every fit."""
+    off = (data.w != 0) & (data.w != 1)
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise UnknownTreatmentLabel(int(data.w[i]), row=i + 1)
     z = basis.matrix(data)
     if data.n <= basis.dim:
         raise ConfigError("sample size must exceed the basis dimension")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, RngHandle, StrataIndex
 from .errors import ConfigError, StatisticNotLinear
-from .finite_sample import AssignmentModel
+from .finite_sample import AssignmentModel, _loo_share, _scaled_weights
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,10 @@ class ModelClass:
 
 
 # ---------------------------------------------------------------------------
-# Linear statistics: Q weights as functions of (X, W)
+# Linear statistics: Q weights as functions of (X, W), from finite_sample
 # ---------------------------------------------------------------------------
 
 STATISTICS = ("t_hat", "wmd", "ipw")
-
-
-def _as_2d(w: np.ndarray) -> tuple[np.ndarray, bool]:
-    w = np.asarray(w)
-    if w.ndim == 1:
-        return w[None, :], True
-    return w, False
 
 
 def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
@@ -127,32 +120,32 @@ def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
     one assignment vector (n,) or a batch (B, n).
 
     All supported statistics are linear in the outcome with weights
-    depending on (X, W) only; other names are rejected.
+    depending on (X, W) only; other names are rejected. ``t_hat`` is
+    ``scaled_ate``'s statistic and ``ipw`` divides by the clamped
+    leave-one-out share of ``ipw_fs_estimate``.
     """
     if name not in STATISTICS:
         raise StatisticNotLinear(name)
-    w2d, squeeze = _as_2d(w)
-    if not np.all((w2d == 0) | (w2d == 1)):
+    w = np.asarray(w)
+    if not np.all((w == 0) | (w == 1)):
         raise ConfigError("statistic weights are defined for binary assignments only")
-    labels = strata.labels
-    n_k = strata.counts[labels].astype(float)  # (n,)
-    treated = w2d == 1
-    control = ~treated
-    m1 = strata.count(treated)[:, labels]  # (B, n)
-    m0 = n_k[None, :] - m1
-
     if name == "t_hat":
-        p1 = (m1 - treated) / (n_k - 1.0)
-        p0 = (m0 - control) / (n_k - 1.0)
-        q = p0 * treated - p1 * control
-    elif name == "wmd":
-        q = n_k * (treated / np.maximum(1.0, m1) - control / np.maximum(1.0, m0))
-    else:  # ipw
-        floor = 1.0 / (2.0 * n_k - 2.0)
-        p1 = (m1 - treated) / (n_k - 1.0)
-        p0 = (m0 - control) / (n_k - 1.0)
-        q = treated / np.maximum(p1, floor) - control / np.maximum(p0, floor)
-    return q[0] if squeeze else q
+        return _scaled_weights(w, strata, 1, 0)
+    n_k = strata.counts[strata.labels].astype(float)  # (n,)
+    if name == "ipw":
+        loo_size = n_k - 1.0
+        floor = 1.0 / (2.0 * loo_size)
+        treated, p1 = _loo_share(w, strata, 1, loo_size)
+        control, p0 = _loo_share(w, strata, 0, loo_size)
+        return treated / np.maximum(p1, floor) - control / np.maximum(p0, floor)
+    # wmd keeps its own rounding, n_k * (1{W = w} / max(1, m_w)): the
+    # estimator's (n_k / max(1, m_w)) * 1{W = w} differs in the last bit,
+    # which moves p-values on designs with tied outcomes.
+    treated = w == 1
+    control = ~treated
+    m1 = strata.count(treated).take(strata.labels, axis=-1)
+    m0 = n_k - m1
+    return n_k * (treated / np.maximum(1.0, m1) - control / np.maximum(1.0, m0))
 
 
 def observed_statistic(data: Dataset, strata: StrataIndex, name: str) -> float:

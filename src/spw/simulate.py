@@ -197,16 +197,6 @@ def gpw_study_estimator(nu: float, basis, level: float = 0.95, truth_beta=None) 
     return fit
 
 
-def alt_study_estimator(variant: str, basis) -> Estimator:
-    from .gpw import alt_estimate
-
-    def fit(data: Dataset) -> dict[str, float]:
-        res = alt_estimate(data, None, basis, variant)
-        return {f"b{j}": float(b) for j, b in enumerate(res.beta)}
-
-    return fit
-
-
 def fs_study_estimators(cfg: FsConfig) -> Mapping[str, Estimator]:
     """The finite-sample contrast estimators: pooled set-estimator
     (summarized by its midpoint plus an interval flag), the

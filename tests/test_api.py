@@ -50,14 +50,12 @@ PUBLIC_NAMES = [
     "draw_omegas",
     "enumerate_expectation",
     "eval_residual",
-    "fpw_intervals",
     "fpw_set",
     "gateaux_derivative",
     "gpw_as_weighted_ipw",
     "gpw_estimate",
     "ipw_fs_estimate",
     "load_csv",
-    "loo_shrinkage_weight",
     "observed_statistic",
     "omega_parts",
     "pate_estimate",
@@ -69,7 +67,6 @@ PUBLIC_NAMES = [
     "shrinkage_mean",
     "srp_conditions",
     "statistic_weights",
-    "unpooled_set",
     "wald_ci",
     "wmd_estimate",
     "write_csv",

@@ -57,6 +57,13 @@ class TestEstimate:
         assert code == 3
         assert "e" in capsys.readouterr().err
 
+    def test_non_binary_treatment_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "w2.csv"
+        path.write_text("y,w,x,e\n1,0,0.1,0.5\n2,1,0.4,0.5\n3,2,0.6,0.5\n4,2,0.9,0.5\n")
+        code = main(["estimate", "--data", str(path), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "row 3" in capsys.readouterr().err
+
     def test_bad_level_exit_2(self, large_csv, tmp_path):
         code = main(
             [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spw.data import Dataset, RngHandle, build_strata
+from spw.data import Dataset, RngHandle, StrataIndex, build_strata
 from spw.errors import ConfigError, EnumerationTooLarge
 from spw.finite_sample import (
     AssignmentModel,
@@ -18,10 +18,8 @@ from spw.finite_sample import (
     enumerate_expectation,
     fpw_set,
     ipw_fs_estimate,
-    loo_shrinkage_weight,
     scaled_ate,
     shrinkage_mean,
-    unpooled_set,
     wmd_estimate,
 )
 from spw.inference import STATISTICS, statistic_weights
@@ -36,18 +34,21 @@ def _make(y, w, x, treatments=(0, 1)):
 
 
 class TestShrinkageWeight:
+    """The stabilized reciprocal weight N_k / (1 + same-treatment peers),
+    read off the ``wmd`` statistic at the treated unit 0."""
+
     def test_pair_with_treated_peer(self):
         data, strata = _make([5.0, 3.0], [1, 1], [1, 1])
-        assert loo_shrinkage_weight(data, strata, 0, 1) == pytest.approx(1.0)
+        assert statistic_weights("wmd", data.w, strata)[0] == pytest.approx(1.0)
 
     def test_no_matching_peer(self):
         data, strata = _make([1.0, 2.0, 3.0], [1, 0, 0], [1, 1, 1])
-        assert loo_shrinkage_weight(data, strata, 0, 1) == pytest.approx(3.0)
+        assert statistic_weights("wmd", data.w, strata)[0] == pytest.approx(3.0)
 
     def test_two_matching_peers(self):
         data, strata = _make([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0], [1, 1, 1, 1])
         # Unit 0 has two treated peers: 4 / (1 + 2).
-        assert loo_shrinkage_weight(data, strata, 0, 1) == pytest.approx(4.0 / 3.0)
+        assert statistic_weights("wmd", data.w, strata)[0] == pytest.approx(4.0 / 3.0)
 
 
 class TestShrinkageMean:
@@ -94,14 +95,22 @@ class TestShrinkageMean:
 
 
 class TestUnpooledSet:
+    """In a single stratum nothing is pooled: ``fpw_set``'s per-treatment
+    estimate is the unpooled set-estimate of that stratum."""
+
     def test_occupied_stratum_is_point(self):
         data, strata = _make([5.0, 3.0], [1, 0], [1, 1])
-        est = unpooled_set(data, strata, 1, 0, ATE_CFG)
+        est = fpw_set(data, strata, ATE_CFG).per_w[1]
         assert est.is_point and est.lo == pytest.approx(5.0)
 
     def test_vacant_stratum_returns_bounds(self):
         data, strata = _make([5.0, 3.0], [0, 0], [1, 1])
-        est = unpooled_set(data, strata, 1, 0, ATE_CFG)
+        est = fpw_set(data, strata, ATE_CFG).per_w[1]
+        assert (est.lo, est.hi) == (0.0, 10.0)
+        # Restricted to its own label, a vacant stratum borrows nothing.
+        data, _ = _make([5.0, 3.0, 1.0, 2.0], [0, 0, 1, 0], [1, 1, 2, 2])
+        alone = data.restrict([1])
+        est = fpw_set(alone, build_strata(alone), ATE_CFG).per_w[1]
         assert (est.lo, est.hi) == (0.0, 10.0)
 
     def test_enumeration_unbiasedness(self):
@@ -112,7 +121,7 @@ class TestUnpooledSet:
 
         def stat(w_vec, y_vec):
             d = Dataset.from_arrays(y_vec, w_vec, [1, 1, 1], treatments=(0, 1))
-            est = unpooled_set(d, build_strata(d), 1, 0, ATE_CFG)
+            est = fpw_set(d, build_strata(d), ATE_CFG).per_w[1]
             return (est.lo, est.hi)
 
         lo, hi = enumerate_expectation(stat, pot, model, strata)
@@ -597,10 +606,6 @@ class TestCollapseMatchesLoopReference:
                 for k in range(strata.n_strata):
                     ref = _ref_shrinkage_mean(data, strata, w, k)
                     assert shrinkage_mean(data, strata, w, k) == ref, name
-                for i in range(data.n):
-                    k = strata.labels[i]
-                    ref = strata.counts[k] / (1.0 + m_w[k] - (data.w[i] == w))
-                    assert loo_shrinkage_weight(data, strata, i, w) == ref, name
             est = fpw_set(data, strata, cfg, pool_weights=pool)
             ref_per_w = {
                 w: tuple(
@@ -675,8 +680,8 @@ def _random_enumeration(rng):
     k_n = int(rng.integers(1, min(3, n) + 1))
     labels = np.concatenate([np.arange(k_n), rng.integers(0, k_n, n - k_n)])
     rng.shuffle(labels)
-    data = Dataset.from_arrays(np.zeros(n), np.zeros(n, dtype=int), labels)
-    strata = build_strata(data, min_count=1)
+    members = tuple(np.flatnonzero(labels == k) for k in range(k_n))
+    strata = StrataIndex(members, np.array([m.size for m in members]), labels)
     lam = rng.uniform(0.02, 1.0, (k_n, arms))
     lam /= lam.sum(axis=1, keepdims=True)
     treatments = tuple(sorted(rng.choice(6, arms, replace=False).tolist()))

@@ -13,6 +13,7 @@ from spw.errors import (
     PropensityOnBoundary,
     SingularDesign,
     SpwError,
+    UnknownTreatmentLabel,
 )
 from spw.gpw import (
     ALT_VARIANTS,
@@ -167,6 +168,24 @@ class TestGpwEstimate:
         )
         with pytest.raises(ConfigError):
             fit(data, BasisSpec.linear())
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda d: gpw_estimate(d, None, CONST, nu=1.0),
+            lambda d: gpw_as_weighted_ipw(d, None, CONST, nu=1.0),
+            *(lambda d, v=v: alt_estimate(d, None, CONST, v) for v in ALT_VARIANTS),
+        ],
+        ids=["gpw", "weighted_ipw", *ALT_VARIANTS],
+    )
+    def test_treatment_must_be_binary(self, fit):
+        data = Dataset.from_arrays(
+            [1.0, 2.0, 3.0, 4.0], [0, 1, 2, 2], [0.1, 0.4, 0.6, 0.9], mode="large",
+            propensity=[0.5] * 4,
+        )
+        with pytest.raises(UnknownTreatmentLabel) as err:
+            fit(data)
+        assert (err.value.label, err.value.row) == (2, 3)
 
     def test_psd_tolerance_allows_tiny_negative_eigenvalue(self):
         sigma = np.array([[1.0, 0.0], [0.0, -1e-12]])

@@ -54,7 +54,9 @@ class TestStatisticWeights:
         cfg = FsConfig.binary_ate(-10, 10, -10, 10)
         data, strata = _bigger_dataset(9)
         value = observed_statistic(data, strata, name)
-        if name == "wmd":
+        if name == "t_hat":
+            assert value == scaled_ate(data, strata, 1, 0)
+        elif name == "wmd":
             assert value == pytest.approx(wmd_estimate(data, strata, cfg), abs=1e-12)
         elif name == "ipw":
             assert value == pytest.approx(ipw_fs_estimate(data, strata, cfg), abs=1e-12)

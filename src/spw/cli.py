@@ -237,6 +237,15 @@ def cmd_test(args) -> int:
         RngHandle(args.seed),
     )
     retained = confidence_set(pvb, args.alpha)
+    warnings = []
+    if args.alpha * pvb.draws < 10:
+        warnings.append(
+            f"B={pvb.draws} draws at alpha={args.alpha:g} give alpha*B < 10; "
+            "the Monte-Carlo error of p near alpha exceeds about alpha/3"
+        )
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    se_lo, se_hi = pvb.mc_standard_errors()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "pvalues.csv", "w", newline="", encoding="utf-8") as fh:
@@ -255,6 +264,9 @@ def cmd_test(args) -> int:
             "alpha": args.alpha,
             "confidence_set": retained,
             "grid_resolution": step,
+            "exceedance_counts": {"p_lo": pvb.k_lo, "p_hi": pvb.k_hi},
+            "mc_standard_error": {"p_lo": se_lo, "p_hi": se_hi},
+            "warnings": warnings,
         },
     )
     _write_manifest(out_dir, "test", _config_echo(args))

@@ -31,8 +31,10 @@ class HetBounds:
     c1: float = 0.0
 
     def __post_init__(self):
-        if self.c1 < 0:
-            raise ConfigError("heterogeneity bound must be nonnegative")
+        if not (math.isfinite(self.c1) and self.c1 >= 0):
+            raise ConfigError(
+                f"heterogeneity bound must be finite and nonnegative, got {self.c1}"
+            )
 
     def epsilon_corners(self) -> tuple[tuple[float, float], ...]:
         if self.c1 == 0.0:
@@ -54,9 +56,14 @@ class NullGrid:
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "NullGrid":
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ConfigError(f"grid {lo}:{hi}:{step} must have finite bounds and step")
         if step <= 0 or hi < lo:
             raise ConfigError("grid range must be increasing with positive step")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        span = (hi - lo) / step
+        if not math.isfinite(span):
+            raise ConfigError(f"grid {lo}:{hi}:{step} has too many points")
+        count = int(math.floor(span + 1e-9)) + 1
         return cls(lo + step * np.arange(count))
 
 
@@ -195,13 +202,40 @@ def draw_omegas(
     return omega_parts(data, strata, w_sim, statistic)
 
 
+def _exceedance_counts(om0, om1, c, tbar: np.ndarray, t_obs: float) -> np.ndarray:
+    """Number of draws whose simulated statistic ``(om0 + om1 * tbar[g]) + c``
+    reaches ``t_obs``, at every point g of the sorted grid ``tbar``.
+
+    Rounded ``+`` and ``*`` are monotone, so per draw the test is
+    nondecreasing in g when om1 >= 0 (constant at om1 = +-0) and
+    nonincreasing when om1 < 0. A branchless bisection finds, per draw,
+    the number of leading grid points before the test flips, evaluating
+    the expression above bit for bit at log2(G) grid points; ``bincount``
+    and ``cumsum`` turn those thresholds into the counts. The result is
+    that of summing the dense (B, G) matrix of tests over draws.
+    """
+    size = tbar.size
+    falling = om1 < 0
+    flip = np.zeros(om1.shape, dtype=np.intp)
+    step = 1 << (size.bit_length() - 1)
+    while step:
+        probe = flip + (step - 1)
+        hit = (om0 + om1 * tbar[np.minimum(probe, size - 1)]) + c >= t_obs
+        flip += step * ((probe < size) & (hit == falling))
+        step >>= 1
+    rising = np.bincount(flip[~falling], minlength=size + 1)
+    fallen = np.bincount(flip[falling], minlength=size + 1)
+    return np.count_nonzero(falling) + np.cumsum(rising[:size] - fallen[:size])
+
+
 @dataclass(frozen=True, eq=False)
 class PValueBounds:
-    """Lower/upper p-value curves over the null grid."""
+    """Lower/upper p-value curves over the null grid, held as integer
+    Monte-Carlo exceedance counts: p = k / draws."""
 
     grid: np.ndarray
-    p_lo: np.ndarray
-    p_hi: np.ndarray
+    k_lo: np.ndarray
+    k_hi: np.ndarray
     draws: int
     statistic: str
     n_models: int
@@ -209,8 +243,21 @@ class PValueBounds:
     observed: float
 
     def __post_init__(self):
-        if np.any(self.p_lo > self.p_hi + 1e-15):
+        if np.any(self.k_lo > self.k_hi):
             raise ConfigError("p-value bounds are crossed")
+
+    @property
+    def p_lo(self) -> np.ndarray:
+        return self.k_lo / self.draws
+
+    @property
+    def p_hi(self) -> np.ndarray:
+        return self.k_hi / self.draws
+
+    def mc_standard_errors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Binomial Monte-Carlo standard errors sqrt(p (1 - p) / B) of the
+        lower and upper curves."""
+        return tuple(np.sqrt(p * (1.0 - p) / self.draws) for p in (self.p_lo, self.p_hi))
 
 
 def pvalue_bounds(
@@ -228,28 +275,26 @@ def pvalue_bounds(
     For each candidate model, a single batch of simulated assignments
     is reused across the whole grid and all heterogeneity corners; the
     reported curves are the pointwise extrema of the Monte Carlo
-    exceedance frequencies.
+    exceedance counts, O(B log G + G) work per model and corner.
     """
     if statistic not in STATISTICS:
         raise StatisticNotLinear(statistic)
     t_obs = observed_statistic(data, strata, statistic)
     tbar = grid.values
-    p_lo = np.full(tbar.shape, np.inf)
-    p_hi = np.full(tbar.shape, -np.inf)
-    corners = het.epsilon_corners()
+    k_lo = np.full(tbar.shape, draws)
+    k_hi = np.zeros(tbar.shape, dtype=np.intp)
     for l_index, model in enumerate(models.models):
         gen = rng.child(l_index).generator()
         om = draw_omegas(data, strata, model, statistic, draws, gen)
-        base = om[:, 0][:, None] + np.outer(om[:, 1], tbar)  # (B, G)
-        for eps3, eps4 in corners:
-            stats = base + (eps3 * om[:, 2] + eps4 * om[:, 3])[:, None]
-            p = np.mean(stats >= t_obs, axis=0)
-            p_lo = np.minimum(p_lo, p)
-            p_hi = np.maximum(p_hi, p)
+        for eps3, eps4 in het.epsilon_corners():
+            c = eps3 * om[:, 2] + eps4 * om[:, 3]
+            k = _exceedance_counts(om[:, 0], om[:, 1], c, tbar, t_obs)
+            np.minimum(k_lo, k, out=k_lo)
+            np.maximum(k_hi, k, out=k_hi)
     return PValueBounds(
         grid=tbar,
-        p_lo=p_lo,
-        p_hi=p_hi,
+        k_lo=k_lo,
+        k_hi=k_hi,
         draws=draws,
         statistic=statistic,
         n_models=len(models.models),

@@ -228,6 +228,70 @@ class TestTest:
             outs.append((out / "pvalues.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @staticmethod
+    def _run(finite_csv, out, *extra):
+        argv = [
+            "test", "--data", str(finite_csv), "--grid", "0:20:1",
+            "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9",
+            "--resolution", "2", "--seed", "5", "--out", str(out), *extra,
+        ]
+        return main(argv)
+
+    def test_meta_counts_and_mc_standard_errors(self, finite_csv, tmp_path):
+        out = tmp_path / "t"
+        assert self._run(finite_csv, out, "--c1", "0.5", "--draws", "200") == 0
+        meta = json.loads((out / "pvalues_meta.json").read_text())
+        rows = (out / "pvalues.csv").read_text().strip().splitlines()[1:]
+        p = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
+        for col, curve in enumerate(("p_lo", "p_hi")):
+            k = np.array(meta["exceedance_counts"][curve])
+            assert k.dtype.kind == "i"
+            np.testing.assert_array_equal(k / 200, p[:, col])
+            se = np.sqrt(p[:, col] * (1 - p[:, col]) / 200)
+            np.testing.assert_allclose(meta["mc_standard_error"][curve], se, rtol=1e-15)
+        assert meta["warnings"] == []
+
+    @pytest.mark.parametrize("draws,alpha,warned", [
+        (200, "0.05", False), (199, "0.05", True), (100, "0.1", False), (19, "0.05", True),
+    ])
+    def test_small_draws_warning(self, finite_csv, tmp_path, capsys, draws, alpha, warned):
+        out = tmp_path / "t"
+        code = self._run(finite_csv, out, "--draws", str(draws), "--alpha", alpha)
+        assert code == 0
+        err = capsys.readouterr().err
+        meta = json.loads((out / "pvalues_meta.json").read_text())
+        if warned:
+            expected = (
+                f"B={draws} draws at alpha={alpha} give alpha*B < 10; "
+                "the Monte-Carlo error of p near alpha exceeds about alpha/3"
+            )
+            assert err == f"warning: {expected}\n"
+            assert meta["warnings"] == [expected]
+        else:
+            assert err == ""
+            assert meta["warnings"] == []
+
+    @pytest.mark.parametrize("c1", ["nan", "inf"])
+    def test_non_finite_c1_exit_2(self, finite_csv, tmp_path, capsys, c1):
+        out = tmp_path / "t"
+        assert self._run(finite_csv, out, "--c1", c1, "--draws", "200") == 2
+        assert "heterogeneity bound" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid",
+        ["nan:2:1", "0:nan:1", "0:2:nan", "-inf:2:1", "0:inf:1", "0:2:inf", "-1e308:1e308:1"],
+    )
+    def test_non_finite_grid_exit_2(self, finite_csv, tmp_path, capsys, grid):
+        out = tmp_path / "t"
+        code = main([
+            "test", "--data", str(finite_csv), f"--grid={grid}",
+            "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9",
+            "--draws", "200", "--out", str(out),
+        ])
+        assert code == 2
+        assert "error (config): grid" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_finite_study(self, tmp_path):

@@ -10,6 +10,8 @@ from spw.inference import (
     HetBounds,
     ModelClass,
     NullGrid,
+    PValueBounds,
+    _exceedance_counts,
     confidence_set,
     draw_omegas,
     observed_statistic,
@@ -207,6 +209,25 @@ class TestPvalueBounds:
         )
         assert pvb.p_hi[0] == 1.0
 
+    def test_curves_are_counts_over_draws(self):
+        _, _, pvb = self._run(c1=0.4, draws=400)
+        assert pvb.k_lo.dtype.kind == pvb.k_hi.dtype.kind == "i"
+        assert (pvb.k_lo / 400).tobytes() == pvb.p_lo.tobytes()
+        assert (pvb.k_hi / 400).tobytes() == pvb.p_hi.tobytes()
+        se_lo, se_hi = pvb.mc_standard_errors()
+        np.testing.assert_array_equal(se_hi, np.sqrt(pvb.p_hi * (1 - pvb.p_hi) / 400))
+        np.testing.assert_array_equal(se_lo, np.sqrt(pvb.p_lo * (1 - pvb.p_lo) / 400))
+
+    def test_crossed_counts_rejected_exactly(self):
+        _, _, pvb = self._run(c1=0.4, draws=400)
+        names = ("grid", "draws", "statistic", "n_models", "c1", "observed")
+        fields = {name: getattr(pvb, name) for name in names}
+        PValueBounds(k_lo=pvb.k_hi, k_hi=pvb.k_hi, **fields)
+        crossed = pvb.k_hi.copy()
+        crossed[0] += 1
+        with pytest.raises(ConfigError, match="crossed"):
+            PValueBounds(k_lo=crossed, k_hi=pvb.k_hi, **fields)
+
     def test_statistic_validation(self):
         data, strata = _bigger_dataset(2)
         with pytest.raises(StatisticNotLinear):
@@ -220,6 +241,112 @@ class TestPvalueBounds:
                 10,
                 RngHandle(0),
             )
+
+
+def _dense_pvalues(om0, om1, c, tbar, t_obs):
+    """The dense (B, G) exceedance frequencies the bisection replaces."""
+    base = om0[:, None] + np.outer(om1, tbar)
+    return np.mean(base + c[:, None] >= t_obs, axis=0)
+
+
+def _dense_bounds(data, strata, statistic, grid, models, het, draws, rng):
+    """Reference p-value curves: the dense per-model, per-corner loop."""
+    t_obs = observed_statistic(data, strata, statistic)
+    tbar = grid.values
+    p_lo = np.full(tbar.shape, np.inf)
+    p_hi = np.full(tbar.shape, -np.inf)
+    for l_index, model in enumerate(models.models):
+        gen = rng.child(l_index).generator()
+        om = draw_omegas(data, strata, model, statistic, draws, gen)
+        for eps3, eps4 in het.epsilon_corners():
+            c = eps3 * om[:, 2] + eps4 * om[:, 3]
+            p = _dense_pvalues(om[:, 0], om[:, 1], c, tbar, t_obs)
+            p_lo = np.minimum(p_lo, p)
+            p_hi = np.maximum(p_hi, p)
+    return p_lo, p_hi
+
+
+def _adversarial_case(rng):
+    """Random omegas with zero, signed-zero and negative slopes, integer
+    values (ties at t_obs), and t_obs often one draw's own statistic."""
+    draws = int(rng.choice([1, 2, 5, 40, 257]))
+    size = int(rng.choice([1, 2, 3, 17, 101]))
+    if rng.random() < 0.5:
+        om = rng.integers(-3, 4, (draws, 4)).astype(float)
+        tbar = np.unique(rng.integers(-5, 6, size).astype(float))
+    else:
+        om = rng.normal(size=(draws, 4)) * 10.0 ** rng.uniform(-3, 3)
+        tbar = np.unique(rng.normal(size=size) * 10.0 ** rng.uniform(-2, 2))
+    om[rng.random(draws) < 0.2, 1] = 0.0
+    om[rng.random(draws) < 0.2, 1] = -0.0
+    eps3, eps4 = rng.choice([-0.5, 0.0, 0.5], 2)
+    c = eps3 * om[:, 2] + eps4 * om[:, 3]
+    if rng.random() < 0.7:
+        b, g = rng.integers(draws), rng.integers(tbar.size)
+        t_obs = float((om[b, 0] + om[b, 1] * tbar[g]) + c[b])
+    else:
+        t_obs = float(rng.normal())
+    return om[:, 0], om[:, 1], c, tbar, t_obs
+
+
+class TestExceedanceCountsMatchDense:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adversarial_cases_bytes_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            om0, om1, c, tbar, t_obs = _adversarial_case(rng)
+            counts = _exceedance_counts(om0, om1, c, tbar, t_obs)
+            assert counts.dtype.kind == "i"
+            assert (counts / om0.size).tobytes() == _dense_pvalues(
+                om0, om1, c, tbar, t_obs
+            ).tobytes()
+
+    def test_zero_signed_zero_and_negative_slopes(self):
+        om0 = np.array([1.0, 1.0, -1.0, 2.0, 0.0, 0.0])
+        om1 = np.array([0.0, -0.0, -0.0, -1.0, 1.0, -2.0])
+        c = np.zeros(6)
+        tbar = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        counts = _exceedance_counts(om0, om1, c, tbar, 0.0)
+        # constant, constant, never, t <= 2, t >= 0, t <= 0
+        np.testing.assert_array_equal(counts, [4, 4, 5, 4, 4])
+        assert (counts / 6).tobytes() == _dense_pvalues(om0, om1, c, tbar, 0.0).tobytes()
+
+    @pytest.mark.parametrize("draws,size", [(1, 1), (1, 7), (9, 1)])
+    def test_single_draw_or_grid_point(self, draws, size):
+        rng = np.random.default_rng(draws * 10 + size)
+        for _ in range(50):
+            om = rng.integers(-2, 3, (draws, 3)).astype(float)
+            tbar = np.unique(rng.integers(-3, 4, size).astype(float))
+            t_obs = float(rng.integers(-2, 3))
+            got = _exceedance_counts(om[:, 0], om[:, 1], om[:, 2], tbar, t_obs) / draws
+            want = _dense_pvalues(om[:, 0], om[:, 1], om[:, 2], tbar, t_obs)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("statistic", ["t_hat", "wmd", "ipw"])
+    @pytest.mark.parametrize("c1", [0.0, 0.5])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_pvalue_curves_bytes_equal(self, statistic, c1, tied):
+        if tied:
+            # Eight units with small integer outcomes: many simulated
+            # statistics equal t_obs exactly, others miss it by an ulp.
+            data = Dataset.from_arrays(
+                [1.0, 2.0, 2.0, 0.0, 1.0, 3.0, 1.0, 1.0],
+                [1, 0, 1, 0, 0, 1, 1, 0],
+                [1, 1, 1, 1, 2, 2, 2, 2],
+                treatments=(0, 1),
+            )
+            strata = build_strata(data)
+        else:
+            data, strata = _bigger_dataset(4, n=40)
+        models = ModelClass(
+            (AssignmentModel.binary([0.3, 0.7]), AssignmentModel.binary([0.5, 0.5]))
+        )
+        grid = NullGrid.from_range(-4.0, 10.0, 0.25)
+        args = (data, strata, statistic, grid, models, HetBounds(c1), 300, RngHandle(8))
+        pvb = pvalue_bounds(*args)
+        p_lo, p_hi = _dense_bounds(*args)
+        assert pvb.p_lo.tobytes() == p_lo.tobytes()
+        assert pvb.p_hi.tobytes() == p_hi.tobytes()
 
 
 class TestSamplingProperties:
@@ -334,6 +461,28 @@ class TestHetAndGrid:
     def test_negative_bound_rejected(self):
         with pytest.raises(ConfigError):
             HetBounds(-0.1)
+
+    @pytest.mark.parametrize("c1", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, c1):
+        with pytest.raises(ConfigError, match="finite"):
+            HetBounds(c1)
+
+    @pytest.mark.parametrize(
+        "lo,hi,step",
+        [
+            (np.nan, 2.0, 1.0),
+            (0.0, np.nan, 1.0),
+            (0.0, 2.0, np.nan),
+            (-np.inf, 2.0, 1.0),
+            (0.0, np.inf, 1.0),
+            (0.0, 2.0, np.inf),
+            (-1e308, 1e308, 1.0),
+            (0.0, 1.0, 5e-324),
+        ],
+    )
+    def test_grid_from_non_finite_range_rejected(self, lo, hi, step):
+        with pytest.raises(ConfigError, match="grid"):
+            NullGrid.from_range(lo, hi, step)
 
     def test_corners(self):
         assert HetBounds(0.0).epsilon_corners() == ((0.0, 0.0),)

@@ -13,6 +13,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -369,7 +370,14 @@ class StrataIndex:
         its last axis: (K,) for one assignment (n,), (B, K) for a batch (B, n)."""
         if mask.ndim == 1:
             return np.bincount(self.labels[mask], minlength=self.n_strata)
-        return np.stack([mask[..., idx].sum(axis=-1) for idx in self.members], axis=-1)
+        order, starts = self._runs
+        return np.add.reduceat(mask.take(order, axis=-1), starts, axis=-1, dtype=np.int64)
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Units sorted by stratum, and where each stratum's run of them
+        starts: one ``reduceat`` then counts a whole batch."""
+        return np.concatenate(self.members), np.cumsum(self.counts) - self.counts
 
 
 def build_strata(data: Dataset) -> StrataIndex:

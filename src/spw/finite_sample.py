@@ -4,9 +4,11 @@ Shrinkage-weighted means with exactly-known bias, the pooled unbiased
 set-estimator, the scaled average-effect unbiased statistic,
 inverse-weighting and modified-difference baselines, and an exact
 enumeration oracle that integrates any statistic over the full
-assignment distribution of small designs. The scaled statistic, the
-inverse-weighting baseline and the weak-null test statistics of
-``inference`` share one leave-one-out stratum share (``_loo_share``).
+assignment distribution of small designs. The scaled statistic and
+the weak-null ``t_hat`` statistic of ``inference`` share one weight
+function (``_scaled_weights``), which computes each stratum's two
+leave-one-out shares once and gathers them per unit, on one
+assignment or a batch of simulated ones.
 """
 
 from __future__ import annotations
@@ -98,16 +100,27 @@ def _check_finite(data: Dataset) -> None:
         raise FlavorMismatch("finite-sample estimators require a finite-sample dataset")
 
 
-def _loo_share(
-    w: np.ndarray, strata: StrataIndex, arm: int, loo_size: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The indicator 1{W_i = arm} and the leave-one-out share
-    (m_arm - 1{W_i = arm}) / (N_k - 1) of each unit, on one assignment
-    (n,) or a batch (B, n). ``loo_size`` is the per-unit N_k - 1, which
-    callers computing several shares build once."""
-    is_arm = w == arm
-    m = strata.count(is_arm)
-    return is_arm, (m.take(strata.labels, axis=-1) - is_arm) / loo_size
+def _scaled_weights(w: np.ndarray, strata: StrataIndex, a: int, b: int) -> np.ndarray:
+    """Per-unit weights p_b 1{W = a} - p_a 1{W = b} of the scaled effect
+    statistic, with leave-one-out shares p, on one assignment (n,) or a
+    batch (B, n).
+
+    A unit's share of an arm it is not in is m_arm / (N_k - 1), one value
+    per stratum, and each share only weighs units outside its arm. So the
+    two shares are computed once per stratum and gathered per unit; every
+    weight, down to the sign of a zero, is the per-unit share's.
+    """
+    is_a = w == a
+    is_b = w == b
+    loo_size = strata.counts - 1.0
+    labels = strata.labels
+    p_a = (strata.count(is_a) / loo_size).take(labels, axis=-1)
+    p_b = (strata.count(is_b) / loo_size).take(labels, axis=-1)
+    # p_b * is_a - p_a * is_b, in place: fewer (B, n) temporaries.
+    p_b *= is_a
+    p_a *= is_b
+    p_b -= p_a
+    return p_b
 
 
 def _stratum_sums(strata: StrataIndex, terms: np.ndarray) -> np.ndarray:
@@ -255,7 +268,8 @@ def ipw_fs_estimate(data: Dataset, strata: StrataIndex, cfg: FsConfig) -> float:
     for w, kap in cfg.kappa.items():
         if kap == 0.0:
             continue
-        is_w, share = _loo_share(data.w, strata, w, loo_size)
+        is_w = data.w == w
+        share = (strata.count(is_w)[strata.labels] - is_w) / loo_size
         acc = _stratum_sums(strata, np.where(is_w, data.y / np.maximum(share, floor), 0.0))
         terms.extend(kap * (counts / data.n) * acc / counts)
     return math.fsum(terms)
@@ -275,15 +289,6 @@ def scaled_ate(data: Dataset, strata: StrataIndex, a: int, b: int) -> float:
     contrib = _scaled_weights(data.w, strata, a, b) * data.y
     # np.mean's own arithmetic (one add.reduce, then / n), without its overhead.
     return float(contrib.sum() / contrib.size)
-
-
-def _scaled_weights(w: np.ndarray, strata: StrataIndex, a: int, b: int) -> np.ndarray:
-    """Per-unit weights of the scaled effect statistic, p_b 1{W = a} -
-    p_a 1{W = b} with leave-one-out shares p, on (n,) or (B, n)."""
-    loo_size = strata.counts[strata.labels] - 1.0
-    is_a, p_a = _loo_share(w, strata, a, loo_size)
-    is_b, p_b = _loo_share(w, strata, b, loo_size)
-    return p_b * is_a - p_a * is_b
 
 
 class _Accumulator:

@@ -19,7 +19,15 @@ import numpy as np
 
 from .data import Dataset, RngHandle, StrataIndex
 from .errors import ConfigError, StatisticNotLinear
-from .finite_sample import AssignmentModel, _loo_share, _scaled_weights
+from .finite_sample import AssignmentModel, _scaled_weights
+
+# Largest grid ``NullGrid.from_range`` builds: each point costs a line of
+# pvalues.csv and an entry in every curve.
+GRID_LIMIT = 10**6
+# Cells (draws x units) per block of simulated assignments: each (rows, n)
+# float temporary of ``draw_omegas`` takes about 128 KiB, glibc's default
+# mmap threshold, so blocks reuse heap memory that stays in a core's cache.
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,10 @@ class NullGrid:
         if not math.isfinite(span):
             raise ConfigError(f"grid {lo}:{hi}:{step} has too many points")
         count = int(math.floor(span + 1e-9)) + 1
+        if count > GRID_LIMIT:
+            raise ConfigError(
+                f"grid {lo}:{hi}:{step} has {count} points (limit {GRID_LIMIT})"
+            )
         return cls(lo + step * np.arange(count))
 
 
@@ -130,29 +142,42 @@ def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
     depending on (X, W) only; other names are rejected. ``t_hat`` is
     ``scaled_ate``'s statistic and ``ipw`` divides by the clamped
     leave-one-out share of ``ipw_fs_estimate``.
+
+    A unit's weight depends only on its stratum's treated count and its
+    own arm, so each row gets one treated and one control weight per
+    stratum, gathered once per unit (``t_hat`` through ``scaled_ate``'s
+    own ``_scaled_weights``). For ``ipw`` and ``wmd`` each is the
+    per-unit expression 1{W=1} / max(p_1, floor) - 1{W=0} / max(p_0,
+    floor), leave-one-out shares p, or N_k (1{W=1} / max(1, m_1) -
+    1{W=0} / max(1, m_0)) with the unit's indicators set to 1 and 0.
+    Dropping a quotient of 0 and a ``- 0.0`` is exact; a control weight
+    keeps its ``0.0 - x``, which is +0.0 at x = 0, so every weight is
+    the per-unit form's bit for bit.
     """
     if name not in STATISTICS:
         raise StatisticNotLinear(name)
     w = np.asarray(w)
-    if not np.all((w == 0) | (w == 1)):
+    treated = w == 1
+    if not np.all(treated | (w == 0)):
         raise ConfigError("statistic weights are defined for binary assignments only")
     if name == "t_hat":
         return _scaled_weights(w, strata, 1, 0)
-    n_k = strata.counts[strata.labels].astype(float)  # (n,)
+    n_k = strata.counts.astype(float)  # (K,)
+    m1 = strata.count(treated)  # (K,) or (B, K)
+    m0 = n_k - m1
     if name == "ipw":
         loo_size = n_k - 1.0
         floor = 1.0 / (2.0 * loo_size)
-        treated, p1 = _loo_share(w, strata, 1, loo_size)
-        control, p0 = _loo_share(w, strata, 0, loo_size)
-        return treated / np.maximum(p1, floor) - control / np.maximum(p0, floor)
-    # wmd keeps its own rounding, n_k * (1{W = w} / max(1, m_w)): the
-    # estimator's (n_k / max(1, m_w)) * 1{W = w} differs in the last bit,
-    # which moves p-values on designs with tied outcomes.
-    treated = w == 1
-    control = ~treated
-    m1 = strata.count(treated).take(strata.labels, axis=-1)
-    m0 = n_k - m1
-    return n_k * (treated / np.maximum(1.0, m1) - control / np.maximum(1.0, m0))
+        q1 = 1.0 / np.maximum((m1 - 1.0) / loo_size, floor)
+        q0 = 0.0 - 1.0 / np.maximum((m0 - 1.0) / loo_size, floor)
+    else:
+        # wmd keeps its own rounding, n_k * (1{W = w} / max(1, m_w)): the
+        # estimator's (n_k / max(1, m_w)) * 1{W = w} differs in the last bit,
+        # which moves p-values on designs with tied outcomes.
+        q1 = n_k * (1.0 / np.maximum(1.0, m1))
+        q0 = n_k * (0.0 - 1.0 / np.maximum(1.0, m0))
+    labels = strata.labels
+    return np.where(treated, q1.take(labels, axis=-1), q0.take(labels, axis=-1))
 
 
 def observed_statistic(data: Dataset, strata: StrataIndex, name: str) -> float:
@@ -172,11 +197,16 @@ def omega_parts(
 
     Columns: observed-outcome part, imputation slope, and the slope's
     positive and negative components (for the heterogeneity corners).
-    All use weights evaluated on the simulated assignment.
+    All use weights evaluated on the simulated assignment. Every column
+    is a row sum, so a row's value does not depend on the other rows;
+    omega1 is ``np.mean``'s arithmetic, as in ``observed_statistic``, so
+    a draw of the observed assignment reproduces t_obs exactly.
     """
     w_sim = np.atleast_2d(np.asarray(w_sim))
     q = statistic_weights(statistic, w_sim, strata)
-    omega1 = q @ data.y / data.n
+    # Not q @ y: a BLAS matrix-vector product rounds a row according to
+    # its place in the kernel and in the thread split.
+    omega1 = (q * data.y).sum(axis=1) / data.n
     u = q * (w_sim - data.w[None, :]) / data.n
     omega2 = u.sum(axis=1)
     omega3 = np.where(u >= 0, u, 0.0).sum(axis=1)
@@ -193,13 +223,24 @@ def draw_omegas(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Simulate assignment vectors under the model and decompose the
-    statistic; returns a (draws, 4) array of omega parts."""
+    statistic; returns a (draws, 4) array of omega parts.
+
+    The assignments are drawn and decomposed in blocks of rows. Each
+    block reads the next rows of ``rng.random((draws, n))``'s stream,
+    and every omega is a row sum, so the result does not depend on the
+    block size.
+    """
     _require_binary(data)
     if draws < 1:
         raise ConfigError("at least one Monte Carlo draw is required")
     lam1 = model.lam[strata.labels, 1]
-    w_sim = (rng.random((draws, data.n)) < lam1[None, :]).astype(np.int64)
-    return omega_parts(data, strata, w_sim, statistic)
+    rows = max(1, _BLOCK_CELLS // data.n)
+    om = np.empty((draws, 4))
+    for start in range(0, draws, rows):
+        stop = min(start + rows, draws)
+        w_sim = (rng.random((stop - start, data.n)) < lam1).astype(np.int64)
+        om[start:stop] = omega_parts(data, strata, w_sim, statistic)
+    return om
 
 
 def _exceedance_counts(om0, om1, c, tbar: np.ndarray, t_obs: float) -> np.ndarray:

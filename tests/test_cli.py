@@ -292,6 +292,22 @@ class TestTest:
         assert code == 2
         assert "error (config): grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid,points", [("0:1e20:1", 10**20 + 1), ("0:1e6:1", 10**6 + 1)]
+    )
+    def test_oversized_grid_exit_2(self, finite_csv, tmp_path, capsys, grid, points):
+        out = tmp_path / "t"
+        code = main([
+            "test", "--data", str(finite_csv), f"--grid={grid}",
+            "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9",
+            "--draws", "200", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (config): grid ")
+        assert f" has {points} points" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_finite_study(self, tmp_path):

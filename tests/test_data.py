@@ -162,6 +162,19 @@ class TestOccupancy:
         total = sum(strata.count(data.w == w) for w in data.treatments)
         np.testing.assert_array_equal(total, strata.counts)
 
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_batch_counts_many_strata(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.permutation(np.arange(600) // 2)  # 300 matched pairs
+        data = Dataset.from_arrays(np.zeros(600), np.tile([0, 1], 300), x, treatments=(0, 1))
+        strata = build_strata(data)
+        batch = rng.random((rows, data.n)) < 0.5
+        got = strata.count(batch)
+        assert got.shape == (rows, 300) and got.dtype == np.int64
+        for row, counts in zip(batch, got):
+            np.testing.assert_array_equal(counts, strata.count(row))
+            np.testing.assert_array_equal(counts, [row[idx].sum() for idx in strata.members])
+
 
 class TestRng:
     def test_same_seed_same_stream(self):

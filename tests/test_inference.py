@@ -1,12 +1,21 @@
 """Tests for the Monte-Carlo p-value bounds and their building blocks."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spw
+from spw import inference
 from spw.data import Dataset, RngHandle, build_strata
 from spw.errors import ConfigError, StatisticNotLinear
 from spw.finite_sample import AssignmentModel, scaled_ate
 from spw.inference import (
+    STATISTICS,
     HetBounds,
     ModelClass,
     NullGrid,
@@ -65,11 +74,24 @@ class TestStatisticWeights:
 
 
 class TestOmegaParts:
-    def test_fixed_point_draw(self):
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_fixed_point_draw(self, statistic):
         data, strata = _bigger_dataset(5)
-        om = omega_parts(data, strata, data.w, "t_hat")[0]
-        assert om[0] == pytest.approx(observed_statistic(data, strata, "t_hat"))
+        om = omega_parts(data, strata, data.w, statistic)[0]
+        assert om[0] == observed_statistic(data, strata, statistic)
         assert om[1] == om[2] == om[3] == 0.0
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_fixed_point_at_any_row_of_a_batch(self, statistic):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            data, strata = _bigger_dataset(int(rng.integers(1000)), int(rng.integers(20, 200)))
+            batch = (rng.random((int(rng.integers(2, 300)), data.n)) < 0.5).astype(np.int64)
+            row = int(rng.integers(batch.shape[0]))
+            batch[row] = data.w
+            om = omega_parts(data, strata, batch, statistic)
+            assert om[row, 0] == observed_statistic(data, strata, statistic)
+            assert np.all(om[row, 1:] == 0.0)
 
     def test_positive_negative_split(self):
         data, strata = _bigger_dataset(7)
@@ -100,6 +122,65 @@ class TestOmegaParts:
         b = draw_omegas(data, strata, model, "t_hat", 40, RngHandle(3).generator())
         assert a.shape == (40, 4)
         np.testing.assert_array_equal(a, b)
+
+
+def _design(rng, n, tied):
+    """n units in 1-4 strata of at least two units each, with continuous or
+    integer (tied) outcomes."""
+    k_n = int(rng.integers(1, 5))
+    x = np.concatenate([np.arange(k_n).repeat(2), rng.integers(0, k_n, n - 2 * k_n)])
+    rng.shuffle(x)
+    w = (rng.random(n) < 0.4).astype(np.int64)
+    y = rng.normal(1.0, 3.0, n) + 2.0 * w
+    if tied:
+        y = np.round(y)
+    data = Dataset.from_arrays(y, w, x, treatments=(0, 1))
+    strata = build_strata(data)
+    return data, strata, AssignmentModel.binary(rng.uniform(0.1, 0.9, k_n))
+
+
+class TestBlockedDraws:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_blocks_bytes_equal_one_batch(self, statistic, tied):
+        rng = np.random.default_rng(17)
+        for n in (200, 37, 11):  # 81, 442 and 1489 rows per block
+            rows = max(1, inference._BLOCK_CELLS // n)
+            data, strata, model = _design(rng, n, tied)
+            lam1 = model.lam[strata.labels, 1]
+            for draws in sorted({1, 7, rows - 1, rows, rows + 1, 4001}):
+                seed = int(rng.integers(2**32))
+                om = draw_omegas(data, strata, model, statistic, draws, RngHandle(seed).generator())
+                sim = RngHandle(seed).generator().random((draws, n)) < lam1
+                ref = omega_parts(data, strata, sim.astype(np.int64), statistic)
+                assert om.shape == (draws, 4)
+                assert om.tobytes() == ref.tobytes(), (n, draws)
+
+    def test_same_bytes_for_any_blas_thread_count(self):
+        code = (
+            "import hashlib; import numpy as np; from spw.data import Dataset, RngHandle, "
+            "build_strata; from spw.finite_sample import AssignmentModel; "
+            "from spw.inference import draw_omegas\n"
+            "rng = np.random.default_rng(5); x = np.arange(200) % 3; "
+            "w = (rng.random(200) < 0.4).astype(int); y = rng.normal(size=200)\n"
+            "data = Dataset.from_arrays(y, w, x, treatments=(0, 1)); strata = build_strata(data)\n"
+            "om = draw_omegas(data, strata, AssignmentModel.binary([0.2, 0.5, 0.8]), 't_hat', "
+            "4001, RngHandle(9).generator())\n"
+            "print(hashlib.sha256(om.tobytes()).hexdigest())"
+        )
+        src = str(Path(spw.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestPvalueBounds:
@@ -483,6 +564,14 @@ class TestHetAndGrid:
     def test_grid_from_non_finite_range_rejected(self, lo, hi, step):
         with pytest.raises(ConfigError, match="grid"):
             NullGrid.from_range(lo, hi, step)
+
+    @pytest.mark.parametrize("hi,points", [(1e20, 10**20 + 1), (1e6, 10**6 + 1)])
+    def test_grid_over_point_limit_rejected(self, hi, points):
+        with pytest.raises(ConfigError, match=re.escape(f"grid 0.0:{hi}:1.0 has {points} points")):
+            NullGrid.from_range(0.0, hi, 1.0)
+
+    def test_grid_at_point_limit_accepted(self):
+        assert NullGrid.from_range(1.0, 1e6, 1.0).values.size == 10**6
 
     def test_corners(self):
         assert HetBounds(0.0).epsilon_corners() == ((0.0, 0.0),)

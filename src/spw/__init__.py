@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    Observation,
     RngHandle,
     StrataIndex,
     build_strata,
@@ -63,7 +62,6 @@ from .residuals import (
     WeightedAipw,
     conditional_mean,
     dr_probe,
-    eval_residual,
     gateaux_derivative,
     residual_from_json,
     residual_to_json,

@@ -69,24 +69,21 @@ def region_for(design: DiscreteDesign):
     return lambda x: 1.0 if design.e(x) < 0.5 else 0.0
 
 
-def stabilizer_for(design: DiscreteDesign):
-    return lambda x: 0.5
-
-
-def check_kinds() -> dict[str, tuple[object, object]]:
-    """(kind, per-design r builder) pairs exercised by the suite."""
+def check_kinds() -> dict[str, object]:
+    """The kinds exercised by the suite, by row name. Only HybridRegion
+    reads a region function r; StabilizedAipw uses its default r = 0.5."""
     return {
-        "gnpw(npw)": (Gnpw(GnpwSpec(theta=(0.0, 1.0, 0.0, -1.0))), None),
-        "gnpw(robinson-dr)": (Gnpw(GnpwSpec(theta=(1.0, 0.0, -2.0, 1.0))), None),
-        "gnpw(one-sided)": (Gnpw(GnpwSpec(theta=(1.0, 0.0, -1.0, 0.0))), None),
-        "gnpw(half)": (Gnpw(GnpwSpec(theta=(0.5, 0.5, -1.0, 0.0))), None),
-        "one_sided_control": (OneSidedControl(), None),
-        "one_sided_treated": (OneSidedTreated(), None),
-        "weighted_aipw": (WeightedAipw(), None),
-        "stabilized_aipw": (StabilizedAipw(), stabilizer_for),
-        "hybrid_region": (HybridRegion(), region_for),
-        "robinson": (RobinsonClassic(), None),
-        "srp_no_propensity": (SrpNoPropensity(1.0, 0.0), None),
+        "gnpw(npw)": Gnpw(GnpwSpec(theta=(0.0, 1.0, 0.0, -1.0))),
+        "gnpw(robinson-dr)": Gnpw(GnpwSpec(theta=(1.0, 0.0, -2.0, 1.0))),
+        "gnpw(one-sided)": Gnpw(GnpwSpec(theta=(1.0, 0.0, -1.0, 0.0))),
+        "gnpw(half)": Gnpw(GnpwSpec(theta=(0.5, 0.5, -1.0, 0.0))),
+        "one_sided_control": OneSidedControl(),
+        "one_sided_treated": OneSidedTreated(),
+        "weighted_aipw": WeightedAipw(),
+        "stabilized_aipw": StabilizedAipw(),
+        "hybrid_region": HybridRegion(),
+        "robinson": RobinsonClassic(),
+        "srp_no_propensity": SrpNoPropensity(1.0, 0.0),
     }
 
 
@@ -157,12 +154,17 @@ def _wrong_functions(design: DiscreteDesign):
     return wrong_e, (wrong_mu0, wrong_mu1)
 
 
+def _worst(magnitudes) -> float:
+    """The largest magnitude, NaN if any is NaN: ``max`` would keep or
+    drop a NaN depending on where it stands, and a NaN row must fail."""
+    return float(np.max(magnitudes))
+
+
 def _moment_zero_magnitude(kind, design, r) -> float:
     truth = design.true_nuisances(r=r)
-    vals = [
-        abs(conditional_mean(kind, x, design.tau(x), truth, design)) for x in design.points
-    ]
-    return max(vals)
+    return _worst(
+        [abs(conditional_mean(kind, x, design.tau(x), truth, design)) for x in design.points]
+    )
 
 
 def _orthogonality_magnitude(kind, design, r) -> float:
@@ -175,20 +177,18 @@ def _orthogonality_magnitude(kind, design, r) -> float:
     for x in design.points:
         for direction in directions:
             vals.append(abs(gateaux_derivative(kind, x, truth, direction, design, h=1e-4)))
-    return max(vals)
+    return _worst(vals)
 
 
 def _bdr_magnitude(kind, design, r) -> float:
     wrong_e, wrong_mu = _wrong_functions(design)
     probe = dr_probe(kind, design, design.tau, wrong_e, wrong_mu, r=r)
-    return float(
-        max(np.max(np.abs(probe.true_e_wrong_mu)), np.max(np.abs(probe.wrong_e_true_mu)))
-    )
+    return _worst(np.abs([probe.true_e_wrong_mu, probe.wrong_e_true_mu]))
 
 
 def _gdr_magnitude(kind, design, r) -> float:
     wrong_e, wrong_mu = _wrong_functions(design)
-    worst = 0.0
+    gaps = []
     for shift in (-1.5, 0.8, 2.0):
         probe = dr_probe(
             kind,
@@ -198,12 +198,9 @@ def _gdr_magnitude(kind, design, r) -> float:
             wrong_mu,
             r=r,
         )
-        worst = max(
-            worst,
-            float(np.max(np.abs(probe.true_e_wrong_mu - probe.reference))),
-            float(np.max(np.abs(probe.wrong_e_true_mu - probe.reference))),
-        )
-    return worst
+        gaps.append(probe.true_e_wrong_mu - probe.reference)
+        gaps.append(probe.wrong_e_true_mu - probe.reference)
+    return _worst(np.abs(gaps))
 
 
 def check_suite(extra_kinds: dict[str, object] | None = None) -> CheckReport:
@@ -232,22 +229,17 @@ def check_suite(extra_kinds: dict[str, object] | None = None) -> CheckReport:
             cac_extras[display] = kind
             informational.add(display)
             continue
-        r_builder = (
-            stabilizer_for
-            if isinstance(kind, StabilizedAipw)
-            else region_for if isinstance(kind, HybridRegion) else None
-        )
-        suite[display] = (kind, r_builder)
+        suite[display] = kind
         informational.add(display)
-    for name, (kind, r_builder) in suite.items():
-        regions = {d: (r_builder(d) if r_builder else None) for d in designs}
+    for name, kind in suite.items():
+        regions = {d: region_for(d) if isinstance(kind, HybridRegion) else None for d in designs}
         measures = {
-            "moment_zero": max(_moment_zero_magnitude(kind, d, regions[d]) for d in designs),
-            "orthogonality": max(
-                _orthogonality_magnitude(kind, d, regions[d]) for d in moderate
+            "moment_zero": _worst([_moment_zero_magnitude(kind, d, regions[d]) for d in designs]),
+            "orthogonality": _worst(
+                [_orthogonality_magnitude(kind, d, regions[d]) for d in moderate]
             ),
-            "bdr": max(_bdr_magnitude(kind, d, regions[d]) for d in designs),
-            "gdr": max(_gdr_magnitude(kind, d, regions[d]) for d in designs),
+            "bdr": _worst([_bdr_magnitude(kind, d, regions[d]) for d in designs]),
+            "gdr": _worst([_gdr_magnitude(kind, d, regions[d]) for d in designs]),
         }
         thresholds = {
             "moment_zero": MOMENT_TOL,
@@ -274,12 +266,13 @@ def check_suite(extra_kinds: dict[str, object] | None = None) -> CheckReport:
     for name, cac in cac_suite.items():
         if any(w not in (0, 1) for w in cac.treatments):
             raise ConfigError("built-in designs are binary; contrast must use {0, 1}")
-        worst = 0.0
+        magnitudes = []
         for design in designs:
             nuis = design.true_cac_nuisances()
             for x in design.points:
                 theta = design.theta(x, cac.treatments, cac.kappa)
-                worst = max(worst, abs(conditional_mean(cac, x, theta, nuis, design)))
+                magnitudes.append(abs(conditional_mean(cac, x, theta, nuis, design)))
+        worst = _worst(magnitudes)
         rows.append(
             CheckRow(
                 kind=name,

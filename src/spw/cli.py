@@ -344,12 +344,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     extra = {}
-    for i, text in enumerate(args.kind or []):
+    for text in args.kind or []:
         try:
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse residual JSON: {exc}")
-        extra[spec.get("kind", f"kind{i}")] = residual_from_json(spec)
+        kind = residual_from_json(spec)
+        # A repeated tag gets a suffix, so every --kind is probed.
+        repeat = sum(other.name == kind.name for other in extra.values())
+        extra[f"{kind.name}#{repeat + 1}" if repeat else kind.name] = kind
     report = check_suite(extra_kinds=extra or None)
     print(report.render())
     if args.out:

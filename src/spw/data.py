@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,14 +30,6 @@ from .errors import (
 
 FINITE = "finite"
 LARGE = "large"
-
-
-class Observation(NamedTuple):
-    """A single (outcome, treatment, covariate-or-stratum) record."""
-
-    y: float
-    w: float
-    x: object
 
 
 @dataclass(frozen=True)
@@ -154,10 +146,6 @@ class Dataset:
             x_labels=x_labels,
             propensity=e,
         )
-
-    def observation(self, i: int) -> Observation:
-        x = self.x[i] if self.mode == LARGE else self.x_labels[self.x[i]]
-        return Observation(float(self.y[i]), int(self.w[i]), x)
 
     def restrict(self, strata_labels: Iterable) -> "Dataset":
         """Subset to the given original stratum labels (finite mode).

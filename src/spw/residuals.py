@@ -17,7 +17,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .data import Observation
 from .errors import (
     ConfigError,
     MissingNuisance,
@@ -28,6 +27,13 @@ from .errors import (
 )
 
 THETA_TOL = 1e-12
+
+
+def _require_finite(what: str, *values) -> None:
+    # NaN compares false, so it would slip through every range check below.
+    # None stands for an optional parameter left unset.
+    if not all(v is None or math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -53,35 +59,20 @@ class NuisanceSet:
     eta: ScalarFn | None = None
     r: ScalarFn | None = None
 
-    def e_at(self, x, kind: str) -> float:
-        if self.e is None:
-            raise MissingNuisance("e", kind)
-        v = float(self.e(x))
-        if not (0.0 < v < 1.0):
-            raise NuisanceOutOfRange("e", v, x)
-        return v
-
-    def mu0_at(self, x, kind: str) -> float:
-        if self.mu0 is None:
-            raise MissingNuisance("mu0", kind)
-        return float(self.mu0(x))
-
-    def mu1_at(self, x, kind: str) -> float:
-        if self.mu1 is None:
-            raise MissingNuisance("mu1", kind)
-        return float(self.mu1(x))
-
-    def eta_at(self, x, kind: str) -> float:
-        if self.eta is None:
-            raise MissingNuisance("eta", kind)
-        return float(self.eta(x))
-
-    def r_at(self, x, kind: str, default: float | None = None) -> float:
-        if self.r is None:
-            if default is None:
-                raise MissingNuisance("r", kind)
-            return default
-        return float(self.r(x))
+    def values(self, x, kind: str, *names: str) -> list[float]:
+        """The named nuisances at x, in order. A kind's residual needs
+        each of them, so a missing one raises ``MissingNuisance``; the
+        propensity must lie in (0, 1)."""
+        out = []
+        for name in names:
+            fn = getattr(self, name)
+            if fn is None:
+                raise MissingNuisance(name, kind)
+            v = float(fn(x))
+            if name == "e" and not (0.0 < v < 1.0):
+                raise NuisanceOutOfRange("e", v, x)
+            out.append(v)
+        return out
 
     def replace(self, **kw) -> "NuisanceSet":
         fields = {"e": self.e, "mu0": self.mu0, "mu1": self.mu1, "eta": self.eta, "r": self.r}
@@ -128,6 +119,7 @@ class GnpwSpec:
     theta: tuple[float, float, float, float] = (0.0, 1.0, 0.0, -1.0)
 
     def __post_init__(self):
+        _require_finite("GNPW parameters", self.nu1, self.nu2, *self.theta)
         if self.nu1 < 0 or self.nu2 < 0:
             raise ConfigError("GNPW power indices must be nonnegative")
         if len(self.theta) != 4:
@@ -148,9 +140,7 @@ class Gnpw:
     name = "gnpw"
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        m0 = nuis.mu0_at(x, self.name)
-        m1 = nuis.mu1_at(x, self.name)
+        e, m0, m1 = nuis.values(x, self.name, "e", "mu0", "mu1")
         t1, t2, t3, t4 = self.spec.theta
         weight = t1 * w + t2 * e + t3 * w * e + t4 * e * e
         aug = m0 + (t2 + t4 * e) * (m1 - m0)
@@ -165,8 +155,7 @@ class OneSidedControl:
     name = "one_sided_control"
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        m0 = nuis.mu0_at(x, self.name)
+        e, m0 = nuis.values(x, self.name, "e", "mu0")
         return w * tau - (w - e) * (y - m0) / (1.0 - e)
 
 
@@ -177,8 +166,7 @@ class OneSidedTreated:
     name = "one_sided_treated"
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        m1 = nuis.mu1_at(x, self.name)
+        e, m1 = nuis.values(x, self.name, "e", "mu1")
         return (1.0 - w) * tau - (w - e) * (y - m1) / e
 
 
@@ -189,9 +177,7 @@ class WeightedAipw:
     name = "weighted_aipw"
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        m0 = nuis.mu0_at(x, self.name)
-        m1 = nuis.mu1_at(x, self.name)
+        e, m0, m1 = nuis.values(x, self.name, "e", "mu0", "mu1")
         return (
             e * (1.0 - e) * tau
             - e * (1.0 - e) * (m1 - m0)
@@ -211,11 +197,12 @@ class StabilizedAipw:
 
     name = "stabilized_aipw"
 
+    def __post_init__(self):
+        _require_finite("stabilizer bound", self.bound)
+
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        m0 = nuis.mu0_at(x, self.name)
-        m1 = nuis.mu1_at(x, self.name)
-        r = nuis.r_at(x, self.name, default=0.5)
+        e, m0, m1 = nuis.values(x, self.name, "e", "mu0", "mu1")
+        r = 0.5 if nuis.r is None else float(nuis.r(x))
         if not (0.0 < r < 1.0):
             raise NuisanceOutOfRange("r", r, x)
         stab = r * (1.0 - r)
@@ -234,10 +221,7 @@ class HybridRegion:
     name = "hybrid_region"
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        m0 = nuis.mu0_at(x, self.name)
-        m1 = nuis.mu1_at(x, self.name)
-        r = nuis.r_at(x, self.name)
+        e, m0, m1, r = nuis.values(x, self.name, "e", "mu0", "mu1", "r")
         if r not in (0.0, 1.0):
             raise NuisanceOutOfRange("r", r, x)
         weight = w * r + (1.0 - w) * (1.0 - r)
@@ -256,8 +240,7 @@ class RobinsonClassic:
     name = "robinson"
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        e = nuis.e_at(x, self.name)
-        eta = nuis.eta_at(x, self.name)
+        e, eta = nuis.values(x, self.name, "e", "eta")
         return (w - e) ** 2 * tau - (w - e) * (y - eta)
 
 
@@ -276,12 +259,12 @@ class SrpNoPropensity:
     name = "srp_no_propensity"
 
     def __post_init__(self):
+        _require_finite("SRP coefficients", self.theta1, self.theta2)
         if self.theta1 < 0 or self.theta2 < 0 or (self.theta1 == 0 and self.theta2 == 0):
             raise ConfigError("SRP coefficients must be nonnegative and not both zero")
 
     def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        m0 = nuis.mu0_at(x, self.name)
-        m1 = nuis.mu1_at(x, self.name)
+        m0, m1 = nuis.values(x, self.name, "mu0", "mu1")
         t1, t2 = self.theta1, self.theta2
         return (t1 * w + t2 * (w - 1.0)) * tau - (t1 + t2) * y + t1 * m0 + t2 * m1
 
@@ -321,6 +304,7 @@ class MultivaluedCac:
     def __post_init__(self):
         if len(self.treatments) != len(self.kappa) or not self.treatments:
             raise ConfigError("contrast treatments and kappa must align and be nonempty")
+        _require_finite("contrast kappa and bound", *self.kappa, self.bound)
 
     def value(self, y, w, x, theta, nuis: CacNuisances) -> float:
         phis = {}
@@ -382,12 +366,6 @@ MEAN_KINDS = (
 ResidualKind = object  # any of the kinds above, plus MultivaluedCac / MultivaluedCqr
 
 
-# Kinds whose JSON form is their name alone.
-_PLAIN_KINDS = {
-    cls.name: cls
-    for cls in (OneSidedControl, OneSidedTreated, WeightedAipw, HybridRegion, RobinsonClassic)
-}
-
 _REQUIRED = object()
 
 
@@ -395,8 +373,33 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
 def _optional_float(value) -> float | None:
     return None if value is None else float(value)
+
+
+# Wire tag -> (class, its (field, convert, default) entries). A field whose
+# default is None is left out of the JSON form while it is None. Gnpw's
+# fields are those of its GnpwSpec.
+_BOUND = ("bound", _optional_float, None)
+_WIRE = {
+    cls.name: (cls, fields)
+    for cls, fields in (
+        (Gnpw, (("nu1", float, 0.0), ("nu2", float, 0.0), ("theta", _floats, GnpwSpec.theta))),
+        (OneSidedControl, ()),
+        (OneSidedTreated, ()),
+        (WeightedAipw, ()),
+        (StabilizedAipw, (_BOUND,)),
+        (HybridRegion, ()),
+        (RobinsonClassic, ()),
+        (SrpNoPropensity, (("theta1", float, _REQUIRED), ("theta2", float, _REQUIRED))),
+        (MultivaluedCac, (("treatments", _ints, _REQUIRED), ("kappa", _floats, _REQUIRED), _BOUND)),
+        (MultivaluedCqr, (("v", float, _REQUIRED), ("w", int, _REQUIRED))),
+    )
+}
 
 
 def residual_from_json(obj: Mapping) -> ResidualKind:
@@ -405,91 +408,50 @@ def residual_from_json(obj: Mapping) -> ResidualKind:
     The field names are part of the configuration contract, e.g.
     {"kind": "gnpw", "nu1": 0, "nu2": 0, "theta": [1, 0, -2, 1]}.
     Function-valued members (custom stabilizers, SRP triples) have no
-    JSON form and must be constructed in code. A missing or malformed
-    field raises ``ConfigError`` naming the kind and the field.
+    JSON form and must be constructed in code. A missing, malformed,
+    non-finite or unknown field raises ``ConfigError`` naming the kind
+    and the field.
     """
     tag = obj.get("kind") if isinstance(obj, Mapping) else None
     if not isinstance(tag, str):
         raise ConfigError("residual JSON must carry a 'kind' field")
-
-    def field(name, convert, default=_REQUIRED):
+    if tag not in _WIRE:
+        raise ConfigError(f"unknown residual kind {tag!r}")
+    cls, fields = _WIRE[tag]
+    known = {name for name, _, _ in fields}
+    for name in obj:
+        if name != "kind" and name not in known:
+            raise ConfigError(f"residual kind {tag!r} has no field {name!r}")
+    kwargs = {}
+    for name, convert, default in fields:
         if name not in obj:
             if default is _REQUIRED:
                 raise ConfigError(f"residual kind {tag!r} needs the field {name!r}")
-            return default
+            kwargs[name] = default
+            continue
         try:
-            return convert(obj[name])
+            kwargs[name] = convert(obj[name])
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"residual kind {tag!r}: cannot read field {name!r}: {exc}"
             ) from None
-
-    if tag in _PLAIN_KINDS:
-        return _PLAIN_KINDS[tag]()
-    if tag == "gnpw":
-        return Gnpw(
-            GnpwSpec(
-                nu1=field("nu1", float, 0.0),
-                nu2=field("nu2", float, 0.0),
-                theta=field("theta", _floats, (0.0, 1.0, 0.0, -1.0)),
-            )
-        )
-    if tag == "stabilized_aipw":
-        return StabilizedAipw(bound=field("bound", _optional_float, None))
-    if tag == "srp_no_propensity":
-        return SrpNoPropensity(field("theta1", float), field("theta2", float))
-    if tag == "multivalued_cac":
-        return MultivaluedCac(
-            treatments=field("treatments", lambda ws: tuple(int(w) for w in ws)),
-            kappa=field("kappa", _floats),
-            bound=field("bound", _optional_float, None),
-        )
-    if tag == "multivalued_cqr":
-        return MultivaluedCqr(v=field("v", float), w=field("w", int))
-    raise ConfigError(f"unknown residual kind {tag!r}")
+    return Gnpw(GnpwSpec(**kwargs)) if cls is Gnpw else cls(**kwargs)
 
 
 def residual_to_json(kind: ResidualKind) -> dict:
     """Inverse of residual_from_json for kinds without function members."""
-    if isinstance(kind, Gnpw):
-        return {
-            "kind": "gnpw",
-            "nu1": kind.spec.nu1,
-            "nu2": kind.spec.nu2,
-            "theta": list(kind.spec.theta),
-        }
-    if isinstance(kind, StabilizedAipw):
-        out = {"kind": "stabilized_aipw"}
-        if kind.bound is not None:
-            out["bound"] = kind.bound
-        return out
-    if isinstance(kind, SrpNoPropensity):
-        return {"kind": "srp_no_propensity", "theta1": kind.theta1, "theta2": kind.theta2}
-    if isinstance(kind, MultivaluedCac):
-        if kind.stabilizer is not None:
-            raise ConfigError("custom stabilizers have no JSON form")
-        out = {
-            "kind": "multivalued_cac",
-            "treatments": list(kind.treatments),
-            "kappa": list(kind.kappa),
-        }
-        if kind.bound is not None:
-            out["bound"] = kind.bound
-        return out
-    if isinstance(kind, MultivaluedCqr):
-        return {"kind": "multivalued_cqr", "v": kind.v, "w": kind.w}
-    if isinstance(kind, tuple(_PLAIN_KINDS.values())):
-        return {"kind": kind.name}
-    raise ConfigError(f"kind {type(kind).__name__} has no JSON form")
-
-
-def eval_residual(kind, obs: Observation, tau_at_x: float, nuis) -> float:
-    """Evaluate the residual at one observation and a target value.
-
-    The target is tau(x) for CATE kinds, theta(x) for the multivalued
-    contrast, and the hypothesized quantile for the quantile kind.
-    """
-    return kind.value(obs.y, obs.w, obs.x, tau_at_x, nuis)
+    cls, fields = _WIRE.get(getattr(kind, "name", None), (None, ()))
+    if cls is None or not isinstance(kind, cls):
+        raise ConfigError(f"kind {type(kind).__name__} has no JSON form")
+    if getattr(kind, "stabilizer", None) is not None:
+        raise ConfigError("custom stabilizers have no JSON form")
+    source = kind.spec if cls is Gnpw else kind
+    out = {"kind": cls.name}
+    for name, _, _ in fields:
+        value = getattr(source, name)
+        if value is not None:
+            out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +564,8 @@ def conditional_mean(kind, x, tau_tilde: float, nuis, design: DiscreteDesign) ->
     if isinstance(kind, MultivaluedCac) or isinstance(kind, MEAN_KINDS):
         terms = []
         for w in design.treatments:
-            obs = Observation(design.mu_at(x, w), w, x)
-            terms.append(design.lam_at(x, w) * kind.value(obs.y, obs.w, obs.x, tau_tilde, nuis))
+            y = design.mu_at(x, w)
+            terms.append(design.lam_at(x, w) * kind.value(y, w, x, tau_tilde, nuis))
         return math.fsum(terms)
     raise NonLinearInOutcome(type(kind).__name__)
 

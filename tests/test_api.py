@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "MultivaluedCqr",
     "NuisanceSet",
     "NullGrid",
-    "Observation",
     "OneSidedControl",
     "OneSidedTreated",
     "PValueBounds",
@@ -49,7 +48,6 @@ PUBLIC_NAMES = [
     "dr_probe",
     "draw_omegas",
     "enumerate_expectation",
-    "eval_residual",
     "fpw_set",
     "gateaux_derivative",
     "gpw_as_weighted_ipw",

@@ -1,5 +1,7 @@
 """Tests for the built-in verification suite and the residual JSON form."""
 
+import math
+
 import pytest
 
 from spw.checks import check_suite
@@ -10,6 +12,7 @@ from spw.residuals import (
     MultivaluedCac,
     MultivaluedCqr,
     OneSidedControl,
+    SrpCustom,
     SrpNoPropensity,
     StabilizedAipw,
     WeightedAipw,
@@ -51,32 +54,61 @@ class TestCheckSuite:
         with pytest.raises(ConfigError):
             check_suite(extra_kinds={"q": MultivaluedCqr(v=0.5, w=1)})
 
+    def test_nan_magnitudes_fail(self):
+        # max() keeps or drops a NaN by its place in the list; every row of
+        # a kind whose residual is NaN at one support point must fail.
+        nan_at_2 = SrpCustom(
+            psi1=lambda x, w: w,
+            psi2=lambda x, w: 1.0,
+            psi3=lambda x, w: math.nan if x == 2 else 0.0,
+        )
+        report = check_suite(extra_kinds={"nan": nan_at_2})
+        rows = [r for r in report.rows if r.kind == "user:nan"]
+        assert [r.prop for r in rows] == ["moment_zero", "orthogonality", "bdr", "gdr"]
+        for r in rows:
+            assert math.isnan(r.magnitude) and not r.passed, r
+
     def test_render_contains_rows(self):
         text = check_suite().render()
         assert "gnpw(npw)" in text and "moment_zero" in text
 
 
 class TestResidualJson:
-    CASES = [
-        {"kind": "gnpw", "nu1": 0, "nu2": 0, "theta": [1, 0, -2, 1]},
-        {"kind": "gnpw", "nu1": 1.5, "nu2": 0.5, "theta": [0, 1, 0, -1]},
-        {"kind": "one_sided_control"},
-        {"kind": "one_sided_treated"},
-        {"kind": "weighted_aipw"},
-        {"kind": "stabilized_aipw", "bound": 8.0},
-        {"kind": "hybrid_region"},
-        {"kind": "robinson"},
-        {"kind": "srp_no_propensity", "theta1": 1, "theta2": 0.5},
-        {"kind": "multivalued_cac", "treatments": [0, 1, 2], "kappa": [1, -2, 1]},
-        {"kind": "multivalued_cqr", "v": 0.25, "w": 1},
-    ]
+    CASES = {
+        "gnpw0": {"kind": "gnpw", "nu1": 0, "nu2": 0, "theta": [1, 0, -2, 1]},
+        "gnpw1": {"kind": "gnpw", "nu1": 1.5, "nu2": 0.5, "theta": [0, 1, 0, -1]},
+        "one_sided_control": {"kind": "one_sided_control"},
+        "one_sided_treated": {"kind": "one_sided_treated"},
+        "weighted_aipw": {"kind": "weighted_aipw"},
+        "stabilized_aipw": {"kind": "stabilized_aipw", "bound": 8.0},
+        "stabilized_aipw-no-bound": {"kind": "stabilized_aipw"},
+        "hybrid_region": {"kind": "hybrid_region"},
+        "robinson": {"kind": "robinson"},
+        "srp_no_propensity": {"kind": "srp_no_propensity", "theta1": 1, "theta2": 0.5},
+        "multivalued_cac": {"kind": "multivalued_cac", "treatments": [0, 1, 2], "kappa": [1, -2, 1]},
+        "multivalued_cac-bound": {
+            "kind": "multivalued_cac",
+            "treatments": [0, 1],
+            "kappa": [-1, 1],
+            "bound": 4.0,
+        },
+        "multivalued_cqr": {"kind": "multivalued_cqr", "v": 0.25, "w": 1},
+    }
 
-    @pytest.mark.parametrize("spec", CASES, ids=[c["kind"] for c in CASES])
+    @pytest.mark.parametrize("spec", CASES.values(), ids=CASES.keys())
     def test_round_trip(self, spec):
         kind = residual_from_json(spec)
         assert residual_to_json(kind) == spec
         again = residual_from_json(residual_to_json(kind))
         assert again == kind
+
+    def test_function_members_have_no_json_form(self):
+        triple = SrpCustom(lambda x, w: w, lambda x, w: 1.0, lambda x, w: 0.0)
+        with pytest.raises(ConfigError, match="SrpCustom"):
+            residual_to_json(triple)
+        custom = MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0), stabilizer=lambda x: 0.2)
+        with pytest.raises(ConfigError, match="stabilizer"):
+            residual_to_json(custom)
 
     def test_documented_gnpw_form(self):
         kind = residual_from_json(

@@ -392,6 +392,16 @@ class TestCheck:
         assert code == 0
         assert "user:gnpw" in capsys.readouterr().out
 
+    def test_check_repeated_kind_tag_probes_each(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        argv = ["check", "--out", str(out)]
+        argv += ["--kind", '{"kind": "gnpw", "theta": [1, 0, -2, 1]}']
+        argv += ["--kind", '{"kind": "gnpw", "nu1": 2}']
+        assert main(argv) == 0
+        rows = json.loads((out / "check.json").read_text())["rows"]
+        users = [r["kind"] for r in rows if r["kind"].startswith("user:")]
+        assert users == ["user:gnpw"] * 4 + ["user:gnpw#2"] * 4
+
     def test_check_bad_kind_json_exit_2(self, capsys):
         assert main(["check", "--kind", "{not json"]) == 2
 
@@ -402,8 +412,25 @@ class TestCheck:
             ('{"kind": "multivalued_cqr", "w": 1}', "v"),
             ('{"kind": "gnpw", "nu1": "abc"}', "nu1"),
             ('{"kind": "gnpw", "theta": [1, 0]}', "theta"),
+            ('{"kind": "gnpw", "nu": 2}', "'nu'"),
+            ('{"kind": "robinson", "eta": 3}', "'eta'"),
+            ('{"kind": "gnpw", "theta": [NaN, 1, 0, -1]}', "finite"),
+            ('{"kind": "gnpw", "nu1": Infinity}', "finite"),
+            ('{"kind": "stabilized_aipw", "bound": NaN}', "finite"),
+            ('{"kind": "srp_no_propensity", "theta1": Infinity, "theta2": 0}', "finite"),
         ],
-        ids=["srp-without-theta1", "cqr-without-v", "gnpw-nu1-text", "gnpw-short-theta"],
+        ids=[
+            "srp-without-theta1",
+            "cqr-without-v",
+            "gnpw-nu1-text",
+            "gnpw-short-theta",
+            "gnpw-misspelled-nu",
+            "robinson-extra-field",
+            "gnpw-nan-theta",
+            "gnpw-infinite-nu1",
+            "stabilized-nan-bound",
+            "srp-infinite-theta1",
+        ],
     )
     def test_check_malformed_kind_fields_exit_2(self, capsys, spec, field):
         assert main(["check", "--kind", spec]) == 2

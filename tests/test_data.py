@@ -204,11 +204,6 @@ class TestRng:
 
 
 class TestMisc:
-    def test_observation_accessor_uses_original_labels(self):
-        data = Dataset.from_arrays([1.5, 2.5], [1, 0], [7, 9])
-        obs = data.observation(1)
-        assert obs == (2.5, 0, 9)
-
     def test_vector_covariates_round_trip(self, tmp_path):
         data = Dataset.from_arrays(
             [1.0, 2.0],

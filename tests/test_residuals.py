@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spw.data import Observation
 from spw.errors import (
     ConfigError,
     MissingNuisance,
@@ -31,7 +30,6 @@ from spw.residuals import (
     WeightedAipw,
     conditional_mean,
     dr_probe,
-    eval_residual,
     gateaux_derivative,
 )
 
@@ -63,13 +61,12 @@ class TestEvalResidual:
         # (1 - 0.5)^2 * 4 - 0.5 * 2 = 0
         kind = Gnpw(GnpwSpec(theta=(1.0, 0.0, -2.0, 1.0)))
         nuis = NuisanceSet(e=lambda x: 0.5, mu0=lambda x: 0.0, mu1=lambda x: 0.0)
-        value = eval_residual(kind, Observation(2.0, 1, "a"), 4.0, nuis)
+        value = kind.value(2.0, 1, "a", 4.0, nuis)
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_weighted_aipw_vanishes_at_truth_no_noise(self):
         nuis = NuisanceSet(e=lambda x: 0.3, mu0=lambda x: 1.0, mu1=lambda x: 4.0)
-        obs = Observation(4.0, 1, "a")  # Y = mu1
-        value = eval_residual(WeightedAipw(), obs, 3.0, nuis)
+        value = WeightedAipw().value(4.0, 1, "a", 3.0, nuis)  # Y = mu1
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_robinson_degenerate_weight(self):
@@ -85,29 +82,62 @@ class TestEvalResidual:
             GnpwSpec(theta=(1.0, 0.0, -2.0, 0.5))
         with pytest.raises(ConfigError):
             GnpwSpec(nu1=-0.1)
+        # NaN compares false, so it would pass the sum and sign checks.
+        for bad in (
+            dict(theta=(float("nan"), 1.0, 0.0, -1.0)),
+            dict(theta=(1.0, 0.0, float("inf"), -1.0)),
+            dict(nu1=float("nan")),
+            dict(nu2=float("inf")),
+        ):
+            with pytest.raises(ConfigError):
+                GnpwSpec(**bad)
 
     def test_srp_parameter_domain(self):
         with pytest.raises(ConfigError):
             SrpNoPropensity(0.0, 0.0)
         with pytest.raises(ConfigError):
             SrpNoPropensity(-1.0, 2.0)
+        with pytest.raises(ConfigError):
+            SrpNoPropensity(float("inf"), 0.0)
+        with pytest.raises(ConfigError):
+            SrpNoPropensity(1.0, float("nan"))
+
+    def test_non_finite_bounds_and_contrasts(self):
+        with pytest.raises(ConfigError):
+            StabilizedAipw(bound=float("nan"))
+        with pytest.raises(ConfigError):
+            MultivaluedCac(treatments=(0, 1), kappa=(float("nan"), 1.0))
+        with pytest.raises(ConfigError):
+            MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0), bound=float("nan"))
 
     def test_propensity_out_of_range(self):
         nuis = NuisanceSet(e=lambda x: 1.0, mu0=lambda x: 0.0, mu1=lambda x: 0.0)
         with pytest.raises(NuisanceOutOfRange):
-            eval_residual(WeightedAipw(), Observation(1.0, 1, "a"), 0.0, nuis)
+            WeightedAipw().value(1.0, 1, "a", 0.0, nuis)
 
     def test_missing_nuisance(self):
         nuis = NuisanceSet(e=lambda x: 0.5)
-        with pytest.raises(MissingNuisance):
-            eval_residual(RobinsonClassic(), Observation(1.0, 1, "a"), 0.0, nuis)
+        with pytest.raises(MissingNuisance, match="'eta'"):
+            RobinsonClassic().value(1.0, 1, "a", 0.0, nuis)
+        # Nuisances are read in the kind's order, the propensity's range first.
+        with pytest.raises(MissingNuisance, match="'e'"):
+            WeightedAipw().value(1.0, 1, "a", 0.0, NuisanceSet())
+        with pytest.raises(NuisanceOutOfRange):
+            WeightedAipw().value(1.0, 1, "a", 0.0, NuisanceSet(e=lambda x: 0.0))
+        nuis = NuisanceSet(e=lambda x: 0.5, mu0=lambda x: 0.0, mu1=lambda x: 0.0)
+        with pytest.raises(MissingNuisance, match="'r'"):
+            HybridRegion().value(1.0, 1, "a", 0.0, nuis)
+        # StabilizedAipw alone falls back to r = 0.5.
+        assert StabilizedAipw().value(1.0, 1, "a", 0.0, nuis) == StabilizedAipw().value(
+            1.0, 1, "a", 0.0, nuis.replace(r=lambda x: 0.5)
+        )
 
     def test_hybrid_requires_binary_region(self):
         nuis = NuisanceSet(
             e=lambda x: 0.5, mu0=lambda x: 0.0, mu1=lambda x: 0.0, r=lambda x: 0.4
         )
         with pytest.raises(NuisanceOutOfRange):
-            eval_residual(HybridRegion(), Observation(1.0, 1, "a"), 0.0, nuis)
+            HybridRegion().value(1.0, 1, "a", 0.0, nuis)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -128,9 +158,8 @@ class TestEvalResidual:
             mu1=lambda x: m1,
             eta=lambda x: e * m1 + (1 - e) * m0,
         )
-        obs = Observation(y, w, "a")
-        lhs = eval_residual(gnpw, obs, tau, nuis)
-        rhs = eval_residual(RobinsonClassic(), obs, tau, nuis)
+        lhs = gnpw.value(y, w, "a", tau, nuis)
+        rhs = RobinsonClassic().value(y, w, "a", tau, nuis)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -391,8 +420,7 @@ class TestCacResidual:
         kind = MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0))
         phi = {0: 1 - e, 1: e}
         nuis = CacNuisances(phi=lambda wt, x: phi[wt], gamma=lambda wt, x: 0.0)
-        obs = Observation(y, w, "a")
-        value = eval_residual(kind, obs, theta, nuis)
+        value = kind.value(y, w, "a", theta, nuis)
         stab = (1 - e) * e
         plain = stab * ((1.0 if w == 1 else 0.0) * y / e - (1.0 if w == 0 else 0.0) * y / (1 - e) - theta)
         assert value == pytest.approx(plain, abs=1e-12)
@@ -406,13 +434,13 @@ class TestCacResidual:
         )
         nuis = CacNuisances(phi=lambda w, x: 0.5, gamma=lambda w, x: 0.0)
         with pytest.raises(StabilizerBoundViolated):
-            eval_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
+            kind.value(1.0, 1, "a", 0.0, nuis)
 
     def test_phi_out_of_range(self):
         kind = MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0))
         nuis = CacNuisances(phi=lambda w, x: 1.2, gamma=lambda w, x: 0.0)
         with pytest.raises(NuisanceOutOfRange):
-            eval_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
+            kind.value(1.0, 1, "a", 0.0, nuis)
 
 
 class TestCqrResidual:
@@ -453,7 +481,7 @@ class TestCqrResidual:
         kind = MultivaluedCqr(v=0.5, w=1)
         nuis = CqrNuisances(phi=lambda w, x: 0.5, gamma=lambda u, w, x: 1.5)
         with pytest.raises(NuisanceOutOfRange):
-            eval_residual(kind, Observation(1.0, 1, "a"), 0.0, nuis)
+            kind.value(1.0, 1, "a", 0.0, nuis)
 
     def test_level_domain(self):
         with pytest.raises(ConfigError):

@@ -25,15 +25,7 @@ from .finite_sample import FsConfig, fpw_set
 from .gpw import BasisSpec, gpw_estimate, pate_estimate, wald_ci
 from .inference import HetBounds, ModelClass, NullGrid, confidence_set, pvalue_bounds
 from .residuals import residual_from_json
-from .simulate import (
-    FiniteSampleDgp,
-    LargeSampleDgp,
-    density_summary,
-    fs_study_estimators,
-    gpw_study_estimator,
-    run_study,
-    scaled_ate_study_estimator,
-)
+from .simulate import FiniteSampleDgp, LargeSampleDgp, density_summary, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,24 +37,24 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    # json writes float64 itself (it subclasses float); other numpy values
+    # become Python lists and scalars.
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_json_ready(payload), indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, default=_json_default)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -248,11 +240,8 @@ def cmd_test(args) -> int:
     se_lo, se_hi = pvb.mc_standard_errors()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "pvalues.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["Tbar", "p_lo", "p_hi"])
-        for t, pl, ph in zip(pvb.grid, pvb.p_lo, pvb.p_hi):
-            writer.writerow([_fmt(t), _fmt(pl), _fmt(ph)])
+    rows = zip(pvb.grid, pvb.p_lo, pvb.p_hi)
+    _write_csv(out_dir / "pvalues.csv", ["Tbar", "p_lo", "p_hi"], rows)
     _write_json(
         out_dir / "pvalues_meta.json",
         {
@@ -280,59 +269,33 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     _require_args(args, "dgp")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     if args.dgp == "large":
         dgp = LargeSampleDgp(n=args.n)
-        basis = BasisSpec.linear()
-        estimators = {}
-        truth = {}
-        for name in names:
-            if name == "npw":
-                estimators["npw"] = gpw_study_estimator(1.0, basis, truth_beta=dgp.beta)
-                truth.update({"npw.b0": dgp.beta[0], "npw.b1": dgp.beta[1], "npw.ate": 2.0})
-            elif name == "ipw":
-                estimators["ipw"] = gpw_study_estimator(-1.0, basis)
-                truth.update({"ipw.b0": dgp.beta[0], "ipw.b1": dgp.beta[1], "ipw.ate": 2.0})
-            else:
-                raise ConfigError(f"estimator {name!r} is not available for the large DGP")
     else:
         dgp = FiniteSampleDgp(n=args.n, lam1=args.lam)
-        cfg = dgp.fs_config()
-        fs = fs_study_estimators(cfg)
-        estimators = {}
-        truth = {}
-        for name in names:
-            if name == "ipw":
-                name = "ipw_fs"
-            if name in fs:
-                estimators[name] = fs[name]
-                key = "mid" if name == "fpw" else "est"
-                truth[f"{name}.{key}"] = dgp.true_ate
-            elif name == "scaled":
-                estimators["scaled"] = scaled_ate_study_estimator()
-            else:
-                raise ConfigError(f"estimator {name!r} is not available for the finite DGP")
+    table = dgp.study_estimators()
+    estimators, truth = {}, {}
+    for name in [s.strip() for s in args.estimators.split(",") if s.strip()]:
+        # On the finite DGP, ipw names its finite-sample form ipw_fs.
+        if name == "ipw" and name not in table:
+            name = "ipw_fs"
+        if name not in table:
+            raise ConfigError(f"estimator {name!r} is not available for the {args.dgp} DGP")
+        estimators[name], truths = table[name]
+        truth.update({f"{name}.{col}": value for col, value in truths.items()})
     result = run_study(dgp, estimators, reps=args.reps, seed=args.seed)
     summary = result.summary(truth)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "summary.json", {"summary": summary, "errors": result.error_counts})
-    with open(out_dir / "estimates.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(result.columns)
-        for row in result.matrix:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(out_dir / "estimates.csv", result.columns, result.matrix)
     for j, col in enumerate(result.columns):
         series = result.matrix[:, j]
         series = series[np.isfinite(series)]
         if series.size < 30 or np.std(series) == 0.0:
             continue
         dens = density_summary(series)
-        with open(out_dir / f"density_{col}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "density"])
-            for x, d in zip(dens.grid, dens.density):
-                writer.writerow([_fmt(x), _fmt(d)])
+        _write_csv(out_dir / f"density_{col}.csv", ["x", "density"], zip(dens.grid, dens.density))
     _write_manifest(out_dir, "simulate", _config_echo(args))
     for col, entry in summary.items():
         line = f"{col}: mean {entry['mean']:.4f} (sd {entry['sd']:.4f})"

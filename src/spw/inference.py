@@ -24,6 +24,9 @@ from .finite_sample import AssignmentModel, _scaled_weights
 # Largest grid ``NullGrid.from_range`` builds: each point costs a line of
 # pvalues.csv and an entry in every curve.
 GRID_LIMIT = 10**6
+# Largest model class ``ModelClass.from_lambda_boxes`` builds: every model
+# gets its own statistic weights and curve per draw.
+MODEL_LIMIT = 10**4
 # Cells (draws x units) per block of simulated assignments: each (rows, n)
 # float temporary of ``draw_omegas`` takes about 128 KiB, glibc's default
 # mmap threshold, so blocks reuse heap memory that stays in a core's cache.
@@ -99,7 +102,6 @@ class ModelClass:
         boxes: Mapping[int, tuple[float, float]],
         n_strata: int,
         resolution: int = 5,
-        max_models: int = 10**4,
     ) -> "ModelClass":
         """Tensor grid over per-stratum treated-probability intervals.
 
@@ -119,8 +121,8 @@ class ModelClass:
                 raise ConfigError(f"lambda interval for stratum {k} must lie in (0, 1)")
             axes.append([lo] if lo == hi else list(np.linspace(lo, hi, resolution)))
         total = math.prod(len(a) for a in axes)
-        if total > max_models:
-            raise ConfigError(f"lambda grid would create {total} models (limit {max_models})")
+        if total > MODEL_LIMIT:
+            raise ConfigError(f"lambda grid would create {total} models (limit {MODEL_LIMIT})")
         models = tuple(
             AssignmentModel.binary(np.asarray(combo)) for combo in itertools.product(*axes)
         )

@@ -373,8 +373,15 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _label(value) -> int:
+    # int() would truncate 1.7, overflow on inf and read true as 1.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer treatment label")
+    return int(value)
+
+
+def _labels(values) -> tuple[int, ...]:
+    return tuple(_label(v) for v in values)
 
 
 def _optional_float(value) -> float | None:
@@ -396,8 +403,8 @@ _WIRE = {
         (HybridRegion, ()),
         (RobinsonClassic, ()),
         (SrpNoPropensity, (("theta1", float, _REQUIRED), ("theta2", float, _REQUIRED))),
-        (MultivaluedCac, (("treatments", _ints, _REQUIRED), ("kappa", _floats, _REQUIRED), _BOUND)),
-        (MultivaluedCqr, (("v", float, _REQUIRED), ("w", int, _REQUIRED))),
+        (MultivaluedCac, (("treatments", _labels, _REQUIRED), ("kappa", _floats, _REQUIRED), _BOUND)),
+        (MultivaluedCqr, (("v", float, _REQUIRED), ("w", _label, _REQUIRED))),
     )
 }
 
@@ -477,8 +484,10 @@ class DiscreteDesign:
     outcome_dists: Mapping[tuple[int, object], tuple[tuple[float, ...], tuple[float, ...]]] | None = None
 
     def __post_init__(self):
-        if abs(math.fsum(self.masses) - 1.0) > 1e-12:
-            raise ConfigError("support masses must sum to 1")
+        _require_finite("support masses", *self.masses)
+        _require_finite("response means", *(m for row in self.mu for m in row))
+        if any(m < 0.0 for m in self.masses) or abs(math.fsum(self.masses) - 1.0) > 1e-12:
+            raise ConfigError("support masses must be nonnegative and sum to 1")
         for row in self.lam:
             if abs(math.fsum(row) - 1.0) > 1e-12 or any(not (0.0 < p < 1.0) for p in row):
                 raise ConfigError("treatment probabilities must lie in (0,1) and sum to 1")

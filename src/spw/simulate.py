@@ -4,7 +4,9 @@ Two built-in DGPs mirror the benchmark studies: a limited-overlap
 large-sample design with linear effect heterogeneity, and a two-stratum
 finite-sample design with an extreme assignment probability. The
 runner replays any collection of estimators over independent
-replication streams and summarizes bias, spread, and coverage.
+replication streams and summarizes bias, spread, and coverage. Each DGP
+lists the estimators its study offers, with the true values of their
+columns, in ``study_estimators()``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, RngHandle
+from .data import Dataset, RngHandle, build_strata
 from .errors import ConfigError, DegenerateSamples, SpwError, TooFewSamples
-from .finite_sample import FsConfig
+from .finite_sample import FsConfig, fpw_set, ipw_fs_estimate, scaled_ate, wmd_estimate
+from .gpw import BasisSpec, gpw_estimate, pate_estimate, wald_ci
+
+Estimator = Callable[[Dataset], Mapping[str, float]]
+# A study's estimators by name, each with the true values of its columns.
+StudyTable = dict[str, tuple[Estimator, dict[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,12 @@ class LargeSampleDgp:
     n: int = 2000
     beta: tuple[float, float] = (3.0, -2.0)
 
+    def __post_init__(self):
+        # Checked here, not per replication: run_study would count the
+        # fits' identical ConfigError as an estimator failure every time.
+        if self.n <= 2:
+            raise ConfigError("sample size must exceed the basis dimension (2)")
+
     def generate(self, rng: np.random.Generator) -> Dataset:
         x = rng.uniform(0.0, 1.0, self.n)
         e = x**4
@@ -41,6 +54,28 @@ class LargeSampleDgp:
         tau = self.beta[0] + self.beta[1] * x
         y = 10.0 * (1.0 - e) + e * u1 + w * (tau + 2.0 * u2)
         return Dataset.from_arrays(y, w, x, mode="large", propensity=e)
+
+    def study_estimators(self) -> StudyTable:
+        """npw (nu = 1, with 95% Wald coverage indicators per coefficient)
+        and ipw (nu = -1) on the linear basis: coefficients and the
+        average effect, whose truths are beta and 2."""
+        basis = BasisSpec.linear()
+        truth = {"b0": self.beta[0], "b1": self.beta[1], "ate": 2.0}
+
+        def fit(data: Dataset, nu: float, cover: bool) -> dict[str, float]:
+            res = gpw_estimate(data, None, basis, nu=nu)
+            out = {f"b{j}": float(b) for j, b in enumerate(res.beta)}
+            out["ate"] = pate_estimate(res, data, basis)["estimate"]
+            if cover:
+                for j, true_b in enumerate(self.beta):
+                    lo, hi = wald_ci(res, np.eye(basis.dim)[j], 0.95)
+                    out[f"cover_b{j}"] = float(lo <= true_b <= hi)
+            return out
+
+        return {
+            "npw": (lambda data: fit(data, 1.0, True), truth),
+            "ipw": (lambda data: fit(data, -1.0, False), truth),
+        }
 
 
 @dataclass(frozen=True)
@@ -88,8 +123,32 @@ class FiniteSampleDgp:
         y = 10.0 + 2.0 * (1.0 + x) * u1 + w * (10.0 + (1.0 + 2.0 * x) * u2)
         return Dataset.from_arrays(y, w, x, mode="finite", treatments=(0, 1))
 
+    def study_estimators(self) -> StudyTable:
+        """The pooled set-estimator (its midpoint, bounds and an interval
+        flag), the modified-difference and inverse-weighting baselines,
+        each of the average effect, and the scaled effect, which has no
+        stated truth."""
+        cfg = self.fs_config()
+        truth = self.true_ate
 
-Estimator = Callable[[Dataset], Mapping[str, float]]
+        def fpw(data: Dataset) -> dict[str, float]:
+            est = fpw_set(data, build_strata(data), cfg)
+            return {
+                "mid": est.interval.midpoint,
+                "lo": est.interval.lo,
+                "hi": est.interval.hi,
+                "is_interval": float(not est.is_point),
+            }
+
+        def single(statistic, *args) -> Estimator:
+            return lambda data: {"est": statistic(data, build_strata(data), *args)}
+
+        return {
+            "fpw": (fpw, {"mid": truth}),
+            "wmd": (single(wmd_estimate, cfg), {"est": truth}),
+            "ipw_fs": (single(ipw_fs_estimate, cfg), {"est": truth}),
+            "scaled": (single(scaled_ate, 1, 0), {}),
+        }
 
 
 @dataclass(eq=False)
@@ -140,97 +199,36 @@ def run_study(
     """Replicate each estimator over independent data draws.
 
     Every replication r generates data from stream (seed, r) and feeds
-    it to every estimator, so results are bit-identical for a given
-    seed. Estimator errors are recorded per name and leave NaNs in the
-    affected row.
+    it once to every estimator, so results are bit-identical for a
+    given seed. Estimator errors are counted per name and leave NaNs in
+    the affected row. An estimator's columns are those of its first
+    successful replication; one that never succeeds has no columns.
     """
     if reps < 2:
         raise ConfigError("at least two replications are required")
     handle = RngHandle(seed)
-    probe = dgp.generate(handle.child(0).generator())
-    layout: list[tuple[str, Estimator, tuple[str, ...], int]] = []
-    columns: list[str] = []
-    for name, est in estimators.items():
-        cols = tuple(est(probe).keys())
-        layout.append((name, est, cols, len(columns)))
-        columns.extend(f"{name}.{c}" for c in cols)
-    matrix = np.full((reps, len(columns)), np.nan)
-
+    cols: dict[str, tuple[str, ...]] = {}
+    blocks: dict[str, np.ndarray] = {}  # name -> (reps, len(cols[name]))
     errors = {name: 0 for name in estimators}
     for r in range(reps):
         data = dgp.generate(handle.child(r).generator())
-        for name, est, cols, offset in layout:
+        for name, est in estimators.items():
             try:
                 values = est(data)
-                for j, c in enumerate(cols):
-                    matrix[r, offset + j] = values[c]
             except SpwError:
                 errors[name] += 1
+                continue
+            if name not in blocks:
+                cols[name] = tuple(values)
+                blocks[name] = np.full((reps, len(values)), np.nan)
+            blocks[name][r] = [values[c] for c in cols[name]]
+    present = [name for name in estimators if name in blocks]
     return StudyResult(
-        columns=tuple(columns), matrix=matrix, error_counts=errors, seed=seed
+        columns=tuple(f"{name}.{c}" for name in present for c in cols[name]),
+        matrix=np.hstack([blocks[name] for name in present]) if present else np.empty((reps, 0)),
+        error_counts=errors,
+        seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Estimator wrappers for studies
-# ---------------------------------------------------------------------------
-
-
-def gpw_study_estimator(nu: float, basis, level: float = 0.95, truth_beta=None) -> Estimator:
-    """Weighting-estimator wrapper emitting coefficients, the average
-    effect, and (when the truth is supplied) per-coefficient coverage
-    indicators at the given level."""
-    from .gpw import gpw_estimate, pate_estimate, wald_ci
-
-    def fit(data: Dataset) -> dict[str, float]:
-        res = gpw_estimate(data, None, basis, nu=nu)
-        out = {f"b{j}": float(b) for j, b in enumerate(res.beta)}
-        out["ate"] = pate_estimate(res, data, basis)["estimate"]
-        if truth_beta is not None:
-            for j, true_b in enumerate(truth_beta):
-                contrast = np.zeros(basis.dim)
-                contrast[j] = 1.0
-                lo, hi = wald_ci(res, contrast, level)
-                out[f"cover_b{j}"] = float(lo <= true_b <= hi)
-        return out
-
-    return fit
-
-
-def fs_study_estimators(cfg: FsConfig) -> Mapping[str, Estimator]:
-    """The finite-sample contrast estimators: pooled set-estimator
-    (summarized by its midpoint plus an interval flag), the
-    modified-difference and inverse-weighting baselines."""
-    from .data import build_strata
-    from .finite_sample import fpw_set, ipw_fs_estimate, wmd_estimate
-
-    def fpw(data: Dataset) -> dict[str, float]:
-        strata = build_strata(data)
-        est = fpw_set(data, strata, cfg)
-        return {
-            "mid": est.interval.midpoint,
-            "lo": est.interval.lo,
-            "hi": est.interval.hi,
-            "is_interval": float(not est.is_point),
-        }
-
-    def wmd(data: Dataset) -> dict[str, float]:
-        return {"est": wmd_estimate(data, build_strata(data), cfg)}
-
-    def ipw(data: Dataset) -> dict[str, float]:
-        return {"est": ipw_fs_estimate(data, build_strata(data), cfg)}
-
-    return {"fpw": fpw, "wmd": wmd, "ipw_fs": ipw}
-
-
-def scaled_ate_study_estimator(a: int = 1, b: int = 0) -> Estimator:
-    from .data import build_strata
-    from .finite_sample import scaled_ate
-
-    def fit(data: Dataset) -> dict[str, float]:
-        return {"est": scaled_ate(data, build_strata(data), a, b)}
-
-    return fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +238,11 @@ class DensityEstimate:
     bandwidth: float
 
 
-def density_summary(samples: Sequence[float], grid: Sequence[float] | None = None) -> DensityEstimate:
-    """Gaussian-kernel density with the Silverman rule on the given grid.
+def density_summary(samples: Sequence[float]) -> DensityEstimate:
+    """Gaussian-kernel density with the Silverman rule.
 
-    Requires at least 30 non-degenerate samples; the default grid spans
-    the sample range padded by three bandwidths.
+    Requires at least 30 non-degenerate samples; the 512-point grid
+    spans the sample range padded by three bandwidths.
     """
     s = np.asarray(samples, dtype=float)
     s = s[np.isfinite(s)]
@@ -256,10 +254,7 @@ def density_summary(samples: Sequence[float], grid: Sequence[float] | None = Non
         raise DegenerateSamples()
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     bw = 0.9 * spread * s.size ** (-0.2)
-    if grid is None:
-        grid = np.linspace(s.min() - 3.0 * bw, s.max() + 3.0 * bw, 512)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(s.min() - 3.0 * bw, s.max() + 3.0 * bw, 512)
     z = (grid[:, None] - s[None, :]) / bw
     dens = np.exp(-0.5 * z**2).sum(axis=1) / (s.size * bw * math.sqrt(2.0 * math.pi))
     return DensityEstimate(grid=grid, density=dens, bandwidth=bw)

@@ -336,6 +336,26 @@ class TestSimulate:
         assert "fpw.mid" in summary["summary"]
         assert (out / "estimates.csv").exists()
 
+    def test_finite_ipw_is_ipw_fs(self, tmp_path):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--dgp", "finite", "--n", "50", "--reps", "5", "--estimators", "ipw"]
+        assert main(argv + ["--out", str(out)]) == 0
+        header = (out / "estimates.csv").read_text().splitlines()[0]
+        assert header == "ipw_fs.est"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["summary"]["ipw_fs.est"]["truth"] == 10.0
+        assert summary["errors"] == {"ipw_fs": 0}
+
+    def test_estimator_of_other_dgp_exit_2(self, tmp_path, capsys):
+        argv = ["simulate", "--dgp", "large", "--estimators", "fpw", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "not available for the large DGP" in capsys.readouterr().err
+
+    def test_large_sample_below_basis_dimension_exit_2(self, tmp_path, capsys):
+        argv = ["simulate", "--dgp", "large", "--n", "2", "--reps", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "basis dimension" in capsys.readouterr().err
+
     def test_unknown_estimator_exit_2(self, tmp_path):
         code = main(
             [
@@ -418,6 +438,12 @@ class TestCheck:
             ('{"kind": "gnpw", "nu1": Infinity}', "finite"),
             ('{"kind": "stabilized_aipw", "bound": NaN}', "finite"),
             ('{"kind": "srp_no_propensity", "theta1": Infinity, "theta2": 0}', "finite"),
+            ('{"kind": "multivalued_cqr", "v": 0.5, "w": 1.7}', "'w'"),
+            ('{"kind": "multivalued_cqr", "v": 0.5, "w": true}', "'w'"),
+            (
+                '{"kind": "multivalued_cac", "treatments": [0, 1.5], "kappa": [-1, 1]}',
+                "'treatments'",
+            ),
         ],
         ids=[
             "srp-without-theta1",
@@ -430,6 +456,9 @@ class TestCheck:
             "gnpw-infinite-nu1",
             "stabilized-nan-bound",
             "srp-infinite-theta1",
+            "cqr-fractional-w",
+            "cqr-boolean-w",
+            "cac-fractional-treatment",
         ],
     )
     def test_check_malformed_kind_fields_exit_2(self, capsys, spec, field):

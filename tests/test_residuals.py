@@ -15,6 +15,7 @@ from spw.errors import (
 from spw.residuals import (
     CacNuisances,
     CqrNuisances,
+    DiscreteDesign,
     Gnpw,
     GnpwSpec,
     HybridRegion,
@@ -194,11 +195,34 @@ class TestConditionalMean:
 
 
 def _single_point_design(e, mu0, mu1):
-    from spw.residuals import DiscreteDesign
-
     return DiscreteDesign.binary(
         points=(0,), masses=(1.0,), e=(e,), mu0=(mu0,), mu1=(mu1,)
     )
+
+
+class TestDiscreteDesign:
+    @staticmethod
+    def _binary(**changes):
+        args = dict(points=(1, 2), masses=(0.5, 0.5), e=(0.3, 0.6), mu0=(1.0, 2.0), mu1=(3.0, 4.0))
+        return DiscreteDesign.binary(**(args | changes))
+
+    def test_valid_design_accepted(self):
+        assert self._binary().eta(2) == pytest.approx(0.4 * 2.0 + 0.6 * 4.0)
+
+    def test_nan_mass_rejected(self):
+        # NaN compares false, so it used to pass the sum check.
+        with pytest.raises(ConfigError, match="finite"):
+            self._binary(masses=(float("nan"), 0.5))
+
+    def test_negative_mass_rejected(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            self._binary(masses=(1.5, -0.5))
+
+    def test_non_finite_response_mean_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            self._binary(mu0=(float("inf"), 2.0))
+        with pytest.raises(ConfigError, match="finite"):
+            self._binary(mu1=(3.0, float("nan")))
 
 
 class TestGateaux:

@@ -6,16 +6,12 @@ import pytest
 from spw.data import RngHandle, build_strata
 from spw.errors import DegenerateSamples, SpwError, TooFewSamples
 from spw.finite_sample import fpw_set
-from spw.gpw import BasisSpec
-from spw.simulate import (
-    FiniteSampleDgp,
-    LargeSampleDgp,
-    density_summary,
-    fs_study_estimators,
-    gpw_study_estimator,
-    run_study,
-    scaled_ate_study_estimator,
-)
+from spw.simulate import FiniteSampleDgp, LargeSampleDgp, density_summary, run_study
+
+
+def _estimators(dgp, *names):
+    table = dgp.study_estimators()
+    return {name: table[name][0] for name in names or table}
 
 
 class TestLargeSampleDgp:
@@ -65,10 +61,47 @@ class TestFiniteSampleDgp:
         assert y1.min() >= b[1][0] and y1.max() <= b[1][1]
 
 
+class TestStudyTable:
+    @pytest.mark.parametrize(
+        "dgp", [LargeSampleDgp(n=300), FiniteSampleDgp(n=50, lam1=0.1)], ids=["large", "finite"]
+    )
+    def test_truths_name_columns(self, dgp):
+        # A truth whose key is not a column would silently drop its bias.
+        data = dgp.generate(RngHandle(11).generator())
+        for name, (est, truth) in dgp.study_estimators().items():
+            columns = est(data).keys()
+            assert set(truth) <= set(columns), name
+
+    def test_tables_name_the_paper_estimators(self):
+        assert list(LargeSampleDgp().study_estimators()) == ["npw", "ipw"]
+        assert list(FiniteSampleDgp().study_estimators()) == ["fpw", "wmd", "ipw_fs", "scaled"]
+
+    def test_large_truths(self):
+        table = LargeSampleDgp().study_estimators()
+        for name in ("npw", "ipw"):
+            assert table[name][1] == {"b0": 3.0, "b1": -2.0, "ate": 2.0}
+
+
+def _counting(outcomes):
+    """An estimator that fails on the calls whose outcome is None and
+    returns {"est": outcome} otherwise; ``calls`` collects the data of
+    each call."""
+    calls = []
+
+    def est(data):
+        outcome = outcomes[len(calls)]
+        calls.append(data)
+        if outcome is None:
+            raise DegenerateSamples()
+        return {"est": outcome}
+
+    return est, calls
+
+
 class TestRunStudy:
     def test_seed_determinism(self):
         dgp = FiniteSampleDgp(n=50, lam1=0.1)
-        estimators = fs_study_estimators(dgp.fs_config())
+        estimators = _estimators(dgp)
         a = run_study(dgp, estimators, reps=20, seed=42)
         b = run_study(dgp, estimators, reps=20, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
@@ -76,35 +109,54 @@ class TestRunStudy:
 
     def test_summary_bias_fields(self):
         dgp = FiniteSampleDgp(n=50, lam1=0.5)
-        est = {"scaled": scaled_ate_study_estimator()}
-        result = run_study(dgp, est, reps=50, seed=3)
+        result = run_study(dgp, _estimators(dgp, "scaled"), reps=50, seed=3)
         summary = result.summary({"scaled.est": 2.5})
         assert "bias" in summary["scaled.est"]
         assert summary["scaled.est"]["n_ok"] == 50
 
     def test_estimator_errors_recorded_not_fatal(self):
         dgp = FiniteSampleDgp(n=50, lam1=0.5)
+        flaky, calls = _counting([1.0, None, None, None, None])
+        result = run_study(dgp, {"flaky": flaky}, reps=5, seed=1)
+        assert len(calls) == 5
+        assert result.error_counts["flaky"] == 4
+        assert result.columns == ("flaky.est",)
+        assert result.matrix[0, 0] == 1.0
+        assert np.all(np.isnan(result.matrix[1:]))
 
-        # Probe call must succeed to fix the layout, so fail from rep 1 on.
-        calls = {"n": 0}
+    def test_first_replication_failure_keeps_later_rows(self):
+        dgp = FiniteSampleDgp(n=50, lam1=0.5)
+        flaky, calls = _counting([None, 2.0, 3.0, 4.0])
+        result = run_study(dgp, {"flaky": flaky}, reps=4, seed=1)
+        assert len(calls) == 4
+        assert result.error_counts["flaky"] == 1
+        assert result.columns == ("flaky.est",)
+        np.testing.assert_array_equal(result.column("flaky.est"), [np.nan, 2.0, 3.0, 4.0])
 
-        def sometimes(data):
-            calls["n"] += 1
-            if calls["n"] > 1:
-                raise DegenerateSamples()
-            return {"est": 1.0}
+    def test_never_succeeding_estimator_has_no_columns(self):
+        dgp = FiniteSampleDgp(n=50, lam1=0.5)
+        broken, broken_calls = _counting([None] * 3)
+        steady, steady_calls = _counting([5.0, 6.0, 7.0])
+        result = run_study(dgp, {"broken": broken, "steady": steady}, reps=3, seed=1)
+        assert len(broken_calls) == len(steady_calls) == 3
+        assert result.error_counts == {"broken": 3, "steady": 0}
+        assert result.columns == ("steady.est",)
+        assert result.matrix.shape == (3, 1) and result.reps == 3
+        np.testing.assert_array_equal(result.column("steady.est"), [5.0, 6.0, 7.0])
 
-        result = run_study(dgp, {"flaky": sometimes}, reps=5, seed=1)
-        assert result.error_counts["flaky"] == 5
-        assert np.all(np.isnan(result.matrix))
+    def test_each_replication_generated_once(self):
+        dgp = FiniteSampleDgp(n=50, lam1=0.5)
+        est, calls = _counting([1.0, 2.0])
+        run_study(dgp, {"est": est}, reps=2, seed=4)
+        for r, data in enumerate(calls):
+            again = dgp.generate(RngHandle(4).child(r).generator())
+            np.testing.assert_array_equal(data.y, again.y)
 
     def test_gpw_estimator_wrapper_coverage_columns(self):
         dgp = LargeSampleDgp(n=300)
-        est = {
-            "npw": gpw_study_estimator(1.0, BasisSpec.linear(), truth_beta=(3.0, -2.0))
-        }
-        result = run_study(dgp, est, reps=5, seed=9)
+        result = run_study(dgp, _estimators(dgp, "npw", "ipw"), reps=5, seed=9)
         assert "npw.cover_b0" in result.columns
+        assert not any(c.startswith("ipw.cover") for c in result.columns)
         cover = result.column("npw.cover_b0")
         assert set(np.unique(cover)) <= {0.0, 1.0}
 

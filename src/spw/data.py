@@ -362,6 +362,11 @@ class StrataIndex:
         return np.add.reduceat(mask.take(order, axis=-1), starts, axis=-1, dtype=np.int64)
 
     @cached_property
+    def _loo_sizes(self) -> np.ndarray:
+        """N_k - 1 per stratum, as floats: a unit's stratum without it."""
+        return self.counts - 1.0
+
+    @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Units sorted by stratum, and where each stratum's run of them
         starts: one ``reduceat`` then counts a whole batch."""

@@ -9,6 +9,13 @@ the weak-null ``t_hat`` statistic of ``inference`` share one weight
 function (``_scaled_weights``), which computes each stratum's two
 leave-one-out shares once and gathers them per unit, on one
 assignment or a batch of simulated ones.
+
+Each estimator's arithmetic lives in one private kernel that takes the
+outcomes and assignments of one replication (n,) or of a block of
+replications sharing one StrataIndex (R, n): per-stratum sums are one
+``bincount`` in unit order, and each row of a block gets the bytes its
+own assignment would. The public functions wrap the kernels on one
+Dataset; ``spw simulate`` runs them on blocks.
 """
 
 from __future__ import annotations
@@ -37,8 +44,13 @@ class FsConfig:
 
     def __post_init__(self):
         for w, (lo, hi) in self.bounds.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"bounds for treatment {w} must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise ConfigError(f"bounds for treatment {w} are reversed")
+        for w, k in self.kappa.items():
+            if not math.isfinite(k):
+                raise ConfigError(f"contrast weight for treatment {w} must be finite, got {k}")
         if not any(k != 0.0 for k in self.kappa.values()):
             raise ConfigError("contrast weights are all zero")
 
@@ -112,7 +124,7 @@ def _scaled_weights(w: np.ndarray, strata: StrataIndex, a: int, b: int) -> np.nd
     """
     is_a = w == a
     is_b = w == b
-    loo_size = strata.counts - 1.0
+    loo_size = strata._loo_sizes
     labels = strata.labels
     p_a = (strata.count(is_a) / loo_size).take(labels, axis=-1)
     p_b = (strata.count(is_b) / loo_size).take(labels, axis=-1)
@@ -124,24 +136,42 @@ def _scaled_weights(w: np.ndarray, strata: StrataIndex, a: int, b: int) -> np.nd
 
 
 def _stratum_sums(strata: StrataIndex, terms: np.ndarray) -> np.ndarray:
-    """Per-stratum sums of per-unit terms. ``bincount`` adds in unit
-    order, so each sum is rounded exactly as a sequential loop's."""
-    return np.bincount(strata.labels, weights=terms, minlength=strata.n_strata)
+    """Per-stratum sums of per-unit terms: (K,) for one assignment's terms
+    (n,), (R, K) for a block of replications (R, n). ``bincount`` adds in
+    unit order, over the flat index row * K + label for a block, so each
+    sum is rounded exactly as a sequential loop's."""
+    k = strata.n_strata
+    if terms.ndim == 1:
+        return np.bincount(strata.labels, weights=terms, minlength=k)
+    rows = terms.shape[0]
+    flat = (np.arange(rows)[:, None] * k + strata.labels).ravel()
+    return np.bincount(flat, weights=terms.ravel(), minlength=rows * k).reshape(rows, k)
 
 
-def _shrinkage_terms(data: Dataset, strata: StrataIndex, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stratum w-counts m_w and the per-unit terms r_hat_i 1{W_i = w} Y_i,
-    with r_hat_i = N_k / m_w for the w units of stratum k."""
-    is_w = data.w == w
+def _fsum(terms: list) -> float | np.ndarray:
+    """Exactly rounded sum (``math.fsum``) of the terms: a float when they
+    are scalars, one sum per row when they are (R,) arrays."""
+    if isinstance(terms[0], np.ndarray):
+        return np.array([math.fsum(row) for row in zip(*[t.tolist() for t in terms])])
+    return math.fsum(terms)
+
+
+def _shrinkage_terms(
+    y: np.ndarray, w: np.ndarray, strata: StrataIndex, arm: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stratum arm counts m_w and the per-unit terms
+    r_hat_i 1{W_i = arm} Y_i, with r_hat_i = N_k / m_w for the arm's units
+    of stratum k, on one assignment (n,) or a block (R, n)."""
+    is_w = w == arm
     m_w = strata.count(is_w)
-    labels = strata.labels
-    r_hat = strata.counts[labels] / np.maximum(m_w[labels], 1.0)
-    return m_w, r_hat * is_w * data.y
+    # One N_k / max(1, m_w) per stratum, gathered per unit: the same quotient.
+    r_hat = (strata.counts / np.maximum(m_w, 1.0)).take(strata.labels, axis=-1)
+    return m_w, r_hat * is_w * y
 
 
-def _shrinkage_means(data: Dataset, strata: StrataIndex, w: int) -> np.ndarray:
-    """Shrinkage-weighted means of every stratum, shape (K,)."""
-    _, terms = _shrinkage_terms(data, strata, w)
+def _shrinkage_means(y: np.ndarray, w: np.ndarray, strata: StrataIndex, arm: int) -> np.ndarray:
+    """Shrinkage-weighted means of every stratum, (K,) or (R, K)."""
+    _, terms = _shrinkage_terms(y, w, strata, arm)
     return _stratum_sums(strata, terms) / strata.counts
 
 
@@ -149,51 +179,87 @@ def shrinkage_mean(data: Dataset, strata: StrataIndex, w: int, k: int) -> float:
     """Shrinkage-weighted stratum mean; equals the modified subsample mean
     (sum of w-outcomes over max(1, w-count))."""
     _check_finite(data)
-    return _shrinkage_means(data, strata, w)[k]
+    return _shrinkage_means(data.y, data.w, strata, w)[k]
 
 
 PoolWeights = Callable[[int, int, int], float]
 
 
-def _pooled_interval(
-    data: Dataset,
+def _pooled_ends(
+    y: np.ndarray,
+    w: np.ndarray,
     strata: StrataIndex,
-    w: int,
+    arm: int,
     bounds: tuple[float, float],
     pool_weights: PoolWeights | None,
-) -> SetEstimate:
-    n = data.n
+) -> list:
+    """Endpoints [lo, hi] of the pooled set-estimate of the arm's response
+    mean: scalars on one assignment (n,), (R,) arrays on a block (R, n)."""
+    n = strata.labels.shape[0]
     k_n = strata.n_strata
     counts = strata.counts
-    m_w, base = _shrinkage_terms(data, strata, w)
+    m_w, base = _shrinkage_terms(y, w, strata, arm)
     mu_tilde = _stratum_sums(strata, base) / counts
     vacant = (m_w == 0).astype(float)
 
-    pools = []  # (vacant stratum, the other strata, their pooling weights)
+    # (row index, vacant stratum, the other strata, their pooling weights);
+    # the row index is () on one assignment and (r,) on a block.
+    pools = []
     if k_n > 1:
-        for k in np.flatnonzero(vacant):
-            others = [j for j in range(k_n) if j != k]
-            if pool_weights is None:
-                weights = counts[others] / (n - counts[k])
-            else:
-                weights = np.array([pool_weights(w, j, k) for j in others], dtype=float)
-                if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-                    raise ConfigError("pooling weights must be nonnegative and sum to 1")
-            pools.append((k, others, weights))
+        pooled = {}
+        for *row, k in zip(*[index.tolist() for index in vacant.nonzero()]):
+            if k not in pooled:
+                others = [j for j in range(k_n) if j != k]
+                if pool_weights is None:
+                    weights = counts[others] / (n - counts[k])
+                else:
+                    weights = np.array([pool_weights(arm, j, k) for j in others], dtype=float)
+                    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+                        raise ConfigError("pooling weights must be nonnegative and sum to 1")
+                pooled[k] = others, weights
+            pools.append((tuple(row), k, *pooled[k]))
 
     # Each endpoint is mean(base + imputed), not intercept + t * slope:
-    # the affine form would round the endpoints differently.
+    # the affine form would round the endpoints differently. The mean is
+    # np.mean's own arithmetic (one add.reduce per row, then / n).
     ends = []
     for t in bounds:
         if k_n == 1:
-            imputed = t * vacant[strata.labels]
+            imputed = t * vacant.take(strata.labels, axis=-1)
         else:
             mu_hat = mu_tilde + t * vacant
-            imputed = np.zeros(n)
-            for k, others, weights in pools:
-                imputed[strata.members[k]] = float(weights @ mu_hat[others])
-        ends.append(float(np.mean(base + imputed)))
-    return SetEstimate(*ends)
+            imputed = np.zeros(base.shape)
+            for row, k, others, weights in pools:
+                imputed[(*row, strata.members[k])] = float(weights @ mu_hat[(*row, others)])
+        ends.append(np.add.reduce(base + imputed, -1) / n)
+    return ends
+
+
+def _fpw_ends(
+    y: np.ndarray,
+    w: np.ndarray,
+    strata: StrataIndex,
+    cfg: FsConfig,
+    pool_weights: PoolWeights | None = None,
+) -> tuple:
+    """(lo, hi, per_w) of the contrast set-estimate: ``per_w`` maps each
+    treatment with nonzero weight to its pooled [lo, hi]. Scalars on one
+    assignment (n,), (R,) arrays on a block (R, n)."""
+    per_w = {
+        arm: _pooled_ends(y, w, strata, arm, cfg.bound_for(arm), pool_weights)
+        for arm, kap in cfg.kappa.items()
+        if kap != 0.0
+    }
+    lo_terms, hi_terms = [], []
+    for arm, (lo, hi) in per_w.items():
+        kap = cfg.kappa[arm]
+        if kap > 0:
+            lo_terms.append(kap * lo)
+            hi_terms.append(kap * hi)
+        else:
+            lo_terms.append(kap * hi)
+            hi_terms.append(kap * lo)
+    return _fsum(lo_terms), _fsum(hi_terms), per_w
 
 
 @dataclass(frozen=True)
@@ -228,51 +294,63 @@ def fpw_set(
     at least one unit of each treatment with nonzero weight.
     """
     _check_finite(data)
-    per_w = {
-        w: _pooled_interval(data, strata, w, cfg.bound_for(w), pool_weights)
-        for w, kap in cfg.kappa.items()
-        if kap != 0.0
-    }
-    lo_terms, hi_terms = [], []
-    for w, interval in per_w.items():
-        kap = cfg.kappa[w]
-        if kap > 0:
-            lo_terms.append(kap * interval.lo)
-            hi_terms.append(kap * interval.hi)
-        else:
-            lo_terms.append(kap * interval.hi)
-            hi_terms.append(kap * interval.lo)
-    return FpwEstimate(
-        interval=SetEstimate(math.fsum(lo_terms), math.fsum(hi_terms)), per_w=per_w
-    )
+    lo, hi, per_w = _fpw_ends(data.y, data.w, strata, cfg, pool_weights)
+    per_w = {arm: SetEstimate(float(a), float(b)) for arm, (a, b) in per_w.items()}
+    return FpwEstimate(interval=SetEstimate(lo, hi), per_w=per_w)
+
+
+def _wmd(y: np.ndarray, w: np.ndarray, strata: StrataIndex, cfg: FsConfig) -> float | np.ndarray:
+    """``wmd_estimate`` on one assignment (n,) or on each row of a block (R, n)."""
+    n = strata.labels.shape[0]
+    terms = []
+    for arm, kap in cfg.kappa.items():
+        if kap == 0.0:
+            continue
+        terms.extend((kap * strata.counts / n * _shrinkage_means(y, w, strata, arm)).T)
+    return _fsum(terms)
 
 
 def wmd_estimate(data: Dataset, strata: StrataIndex, cfg: FsConfig) -> float:
     """Size-weighted contrast of the modified subsample means."""
     _check_finite(data)
+    return _wmd(data.y, data.w, strata, cfg)
+
+
+def _ipw_fs(
+    y: np.ndarray, w: np.ndarray, strata: StrataIndex, cfg: FsConfig
+) -> float | np.ndarray:
+    """``ipw_fs_estimate`` on one assignment (n,) or on each row of a block (R, n)."""
+    counts = strata.counts
+    labels = strata.labels
+    n = labels.shape[0]
+    loo_size = counts[labels] - 1.0
+    floor = 1.0 / (2.0 * loo_size)
     terms = []
-    for w, kap in cfg.kappa.items():
+    for arm, kap in cfg.kappa.items():
         if kap == 0.0:
             continue
-        terms.extend(kap * strata.counts / data.n * _shrinkage_means(data, strata, w))
-    return math.fsum(terms)
+        is_w = w == arm
+        share = (strata.count(is_w).take(labels, axis=-1) - is_w) / loo_size
+        acc = _stratum_sums(strata, np.where(is_w, y / np.maximum(share, floor), 0.0))
+        terms.extend((kap * (counts / n) * acc / counts).T)
+    return _fsum(terms)
 
 
 def ipw_fs_estimate(data: Dataset, strata: StrataIndex, cfg: FsConfig) -> float:
     """Clamped leave-one-out inverse-weighting baseline (biased)."""
     _check_finite(data)
-    counts = strata.counts
-    loo_size = counts[strata.labels] - 1.0
-    floor = 1.0 / (2.0 * loo_size)
-    terms = []
-    for w, kap in cfg.kappa.items():
-        if kap == 0.0:
-            continue
-        is_w = data.w == w
-        share = (strata.count(is_w)[strata.labels] - is_w) / loo_size
-        acc = _stratum_sums(strata, np.where(is_w, data.y / np.maximum(share, floor), 0.0))
-        terms.extend(kap * (counts / data.n) * acc / counts)
-    return math.fsum(terms)
+    return _ipw_fs(data.y, data.w, strata, cfg)
+
+
+def _scaled(y: np.ndarray, w: np.ndarray, strata: StrataIndex, a: int, b: int):
+    """``scaled_ate`` on one assignment (n,) or on each row of a block (R, n)."""
+    if a == b:
+        raise ConfigError("scaled effect requires two distinct treatments")
+    contrib = _scaled_weights(w, strata, a, b)
+    contrib *= y
+    # np.mean's own arithmetic (one add.reduce per row, then / n), without
+    # its overhead.
+    return np.add.reduce(contrib, -1) / contrib.shape[-1]
 
 
 def scaled_ate(data: Dataset, strata: StrataIndex, a: int, b: int) -> float:
@@ -284,11 +362,7 @@ def scaled_ate(data: Dataset, strata: StrataIndex, a: int, b: int) -> float:
     weights.
     """
     _check_finite(data)
-    if a == b:
-        raise ConfigError("scaled effect requires two distinct treatments")
-    contrib = _scaled_weights(data.w, strata, a, b) * data.y
-    # np.mean's own arithmetic (one add.reduce, then / n), without its overhead.
-    return float(contrib.sum() / contrib.size)
+    return float(_scaled(data.y, data.w, strata, a, b))
 
 
 class _Accumulator:

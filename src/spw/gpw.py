@@ -9,6 +9,7 @@ alternative non-inverse estimators from the same moment calculus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -159,7 +160,9 @@ def _moment_fit(z: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def _design(data: Dataset, e, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Basis matrix Z and propensity values e, checked, for every fit."""
+    """Basis matrix Z and propensity values e, checked, for every fit.
+    Each binary fit needs both arms: with one empty, its moment says
+    nothing about the effect."""
     off = (data.w != 0) & (data.w != 1)
     if np.any(off):
         i = int(np.argmax(off))
@@ -167,7 +170,15 @@ def _design(data: Dataset, e, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]
     z = basis.matrix(data)
     if data.n <= basis.dim:
         raise ConfigError("sample size must exceed the basis dimension")
-    return z, _propensity_values(data, e)
+    ev = _propensity_values(data, e)
+    if data.w.all() or not data.w.any():
+        raise DenominatorZero("no treated or no control units")
+    return z, ev
+
+
+def _check_nu(nu: float) -> None:
+    if not math.isfinite(nu):
+        raise ConfigError(f"weighting index nu must be finite, got {nu}")
 
 
 def gpw_estimate(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> GpwFit:
@@ -178,6 +189,7 @@ def gpw_estimate(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> GpwFit:
     callable on the covariate, an array of per-row values, or None to
     use the dataset's propensity column.
     """
+    _check_nu(nu)
     z, ev = _design(data, e, basis)
     q = ev * (1.0 - ev)
     beta, sigma, condition = _moment_fit(z, q ** (nu + 1.0), q**nu * (data.w - ev) * data.y)
@@ -191,6 +203,7 @@ def gpw_as_weighted_ipw(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> 
     probability pseudo-outcome reproduce the direct fit; nu = -1 gives
     the usual unweighted inverse probability estimator.
     """
+    _check_nu(nu)
     z, ev = _design(data, e, basis)
     q = ev * (1.0 - ev)
     if np.any(q <= 1e-300):
@@ -259,8 +272,6 @@ def alt_estimate(data: Dataset, e, basis: BasisSpec, variant: str) -> GpwFit:
     if variant == "overlap_weight_wate":
         if not np.allclose(z, 1.0):
             raise ConfigError("overlap weighting requires the constant basis Z = 1")
-        if w.all() or not w.any():
-            raise DenominatorZero("no treated or no control overlap mass")
         # Arm means (alpha1, alpha0) on the basis [W, 1 - W], then their contrast.
         a = w * (1.0 - ev) + ev * (1.0 - w)
         alpha, cov_alpha, condition = _moment_fit(np.column_stack((w, 1.0 - w)), a, a * y)

@@ -27,6 +27,9 @@ GRID_LIMIT = 10**6
 # Largest model class ``ModelClass.from_lambda_boxes`` builds: every model
 # gets its own statistic weights and curve per draw.
 MODEL_LIMIT = 10**4
+# Most Monte Carlo draws ``draw_omegas`` makes: its (draws, 4) omega array
+# and the curve's per-draw temporaries then stay within a few hundred MB.
+DRAW_LIMIT = 10**7
 # Cells (draws x units) per block of simulated assignments: each (rows, n)
 # float temporary of ``draw_omegas`` takes about 128 KiB, glibc's default
 # mmap threshold, so blocks reuse heap memory that stays in a core's cache.
@@ -235,6 +238,8 @@ def draw_omegas(
     _require_binary(data)
     if draws < 1:
         raise ConfigError("at least one Monte Carlo draw is required")
+    if draws > DRAW_LIMIT:
+        raise ConfigError(f"{draws} Monte Carlo draws requested (limit {DRAW_LIMIT})")
     lam1 = model.lam[strata.labels, 1]
     rows = max(1, _BLOCK_CELLS // data.n)
     om = np.empty((draws, 4))

@@ -7,6 +7,13 @@ runner replays any collection of estimators over independent
 replication streams and summarizes bias, spread, and coverage. Each DGP
 lists the estimators its study offers, with the true values of their
 columns, in ``study_estimators()``.
+
+The finite DGP's estimators also have block forms over arrays. With
+them, ``run_study`` stacks floor(2^14 / n) replications at a time, each
+still drawn from its own stream, and runs every estimator once per
+block with one StrataIndex per study; a block whose replications do not
+all share replication 0's strata, or whose block form raises, is
+replayed one replication at a time, so the results are the loop's.
 """
 
 from __future__ import annotations
@@ -17,14 +24,28 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, RngHandle, build_strata
+from .data import Dataset, RngHandle, StrataIndex, build_strata
 from .errors import ConfigError, DegenerateSamples, SpwError, TooFewSamples
-from .finite_sample import FsConfig, fpw_set, ipw_fs_estimate, scaled_ate, wmd_estimate
+from .finite_sample import FsConfig, _fpw_ends, _ipw_fs, _scaled, _wmd
 from .gpw import BasisSpec, gpw_estimate, pate_estimate, wald_ci
+from .inference import _BLOCK_CELLS
 
 Estimator = Callable[[Dataset], Mapping[str, float]]
 # A study's estimators by name, each with the true values of its columns.
 StudyTable = dict[str, tuple[Estimator, dict[str, float]]]
+
+
+@dataclass(frozen=True)
+class _BlockEstimator:
+    """An estimator written once over arrays: ``form(y, w, strata)`` maps
+    one replication's outcomes and assignments (n,) to its columns, or a
+    block of replications' (R, n) to (R,) columns. Called on a Dataset,
+    it is the one-replication form on that dataset's own strata."""
+
+    form: Callable[[np.ndarray, np.ndarray, StrataIndex], Mapping]
+
+    def __call__(self, data: Dataset) -> Mapping[str, float]:
+        return self.form(data.y, data.w, build_strata(data))
 
 
 @dataclass(frozen=True)
@@ -127,27 +148,25 @@ class FiniteSampleDgp:
         """The pooled set-estimator (its midpoint, bounds and an interval
         flag), the modified-difference and inverse-weighting baselines,
         each of the average effect, and the scaled effect, which has no
-        stated truth."""
+        stated truth. Each has a block form, which ``run_study`` uses."""
         cfg = self.fs_config()
         truth = self.true_ate
 
-        def fpw(data: Dataset) -> dict[str, float]:
-            est = fpw_set(data, build_strata(data), cfg)
-            return {
-                "mid": est.interval.midpoint,
-                "lo": est.interval.lo,
-                "hi": est.interval.hi,
-                "is_interval": float(not est.is_point),
-            }
+        def fpw(y, w, strata):
+            lo, hi, per_w = _fpw_ends(y, w, strata, cfg)
+            # The checks fpw_set's SetEstimates make, on every row.
+            if any(np.any(a > b) for a, b in (*per_w.values(), (lo, hi))):
+                raise ConfigError("set-estimate endpoints are reversed")
+            return {"mid": 0.5 * (lo + hi), "lo": lo, "hi": hi, "is_interval": 1.0 * (lo != hi)}
 
-        def single(statistic, *args) -> Estimator:
-            return lambda data: {"est": statistic(data, build_strata(data), *args)}
+        def single(kernel, *args) -> Estimator:
+            return _BlockEstimator(lambda y, w, strata: {"est": kernel(y, w, strata, *args)})
 
         return {
-            "fpw": (fpw, {"mid": truth}),
-            "wmd": (single(wmd_estimate, cfg), {"est": truth}),
-            "ipw_fs": (single(ipw_fs_estimate, cfg), {"est": truth}),
-            "scaled": (single(scaled_ate, 1, 0), {}),
+            "fpw": (_BlockEstimator(fpw), {"mid": truth}),
+            "wmd": (single(_wmd, cfg), {"est": truth}),
+            "ipw_fs": (single(_ipw_fs, cfg), {"est": truth}),
+            "scaled": (single(_scaled, 1, 0), {}),
         }
 
 
@@ -203,6 +222,16 @@ def run_study(
     given seed. Estimator errors are counted per name and leave NaNs in
     the affected row. An estimator's columns are those of its first
     successful replication; one that never succeeds has no columns.
+
+    When every estimator has a block form (``form``, as the finite DGP's
+    have), replications are generated in blocks of at most 2^14 cells,
+    floor(2^14 / n) of them, and each estimator runs once per block on
+    the stacked (R, n) outcomes and assignments, with replication 0's
+    StrataIndex for the whole study. A block runs that way only if each
+    of its replications has replication 0's strata; otherwise, and for
+    an estimator whose block form raises, the block is replayed one
+    replication at a time. The block forms compute each row as the
+    one-replication form does, so the result is the loop's, bit for bit.
     """
     if reps < 2:
         raise ConfigError("at least two replications are required")
@@ -210,18 +239,47 @@ def run_study(
     cols: dict[str, tuple[str, ...]] = {}
     blocks: dict[str, np.ndarray] = {}  # name -> (reps, len(cols[name]))
     errors = {name: 0 for name in estimators}
-    for r in range(reps):
-        data = dgp.generate(handle.child(r).generator())
-        for name, est in estimators.items():
+
+    def record(name: str, rows, values: Mapping) -> None:
+        if name not in blocks:
+            cols[name] = tuple(values)
+            blocks[name] = np.full((reps, len(values)), np.nan)
+        for j, c in enumerate(cols[name]):
+            blocks[name][rows, j] = values[c]
+
+    batched = all(hasattr(est, "form") for est in estimators.values())
+    shared = None  # replication 0's stratum codes and StrataIndex
+    start = 0
+    while start < reps:
+        block = [dgp.generate(handle.child(start).generator())]
+        if batched and shared is None:
             try:
-                values = est(data)
+                shared = block[0].x, build_strata(block[0])
             except SpwError:
-                errors[name] += 1
-                continue
-            if name not in blocks:
-                cols[name] = tuple(values)
-                blocks[name] = np.full((reps, len(values)), np.nan)
-            blocks[name][r] = [values[c] for c in cols[name]]
+                batched = False
+        if batched:
+            stop = min(start + max(1, _BLOCK_CELLS // block[0].n), reps)
+            block += [dgp.generate(handle.child(r).generator()) for r in range(start + 1, stop)]
+        stacked = None
+        if batched and all(np.array_equal(data.x, shared[0]) for data in block):
+            stacked = np.stack([d.y for d in block]), np.stack([d.w for d in block]), shared[1]
+        for name, est in estimators.items():
+            if stacked is not None:
+                try:
+                    values = est.form(*stacked)
+                except SpwError:
+                    pass  # replayed below, one replication at a time
+                else:
+                    record(name, slice(start, start + len(block)), values)
+                    continue
+            for r, data in enumerate(block, start):
+                try:
+                    values = est(data)
+                except SpwError:
+                    errors[name] += 1
+                    continue
+                record(name, r, values)
+        start += len(block)
     present = [name for name in estimators if name in blocks]
     return StudyResult(
         columns=tuple(f"{name}.{c}" for name in present for c in cols[name]),
@@ -242,7 +300,9 @@ def density_summary(samples: Sequence[float]) -> DensityEstimate:
     """Gaussian-kernel density with the Silverman rule.
 
     Requires at least 30 non-degenerate samples; the 512-point grid
-    spans the sample range padded by three bandwidths.
+    spans the sample range padded by three bandwidths. The kernel sums
+    are taken in blocks of grid rows of at most 2^14 cells; each row's
+    sum is the one the whole (512, n) matrix would give.
     """
     s = np.asarray(samples, dtype=float)
     s = s[np.isfinite(s)]
@@ -255,6 +315,10 @@ def density_summary(samples: Sequence[float]) -> DensityEstimate:
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     bw = 0.9 * spread * s.size ** (-0.2)
     grid = np.linspace(s.min() - 3.0 * bw, s.max() + 3.0 * bw, 512)
-    z = (grid[:, None] - s[None, :]) / bw
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (s.size * bw * math.sqrt(2.0 * math.pi))
+    sums = np.empty(grid.size)
+    rows = max(1, _BLOCK_CELLS // s.size)
+    for start in range(0, grid.size, rows):
+        z = (grid[start : start + rows, None] - s[None, :]) / bw
+        sums[start : start + rows] = np.exp(-0.5 * z**2).sum(axis=1)
+    dens = sums / (s.size * bw * math.sqrt(2.0 * math.pi))
     return DensityEstimate(grid=grid, density=dens, bandwidth=bw)

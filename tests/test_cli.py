@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import spw
 from spw.cli import main
 from spw.data import RngHandle, write_csv
+from spw.inference import DRAW_LIMIT
 from spw.simulate import FiniteSampleDgp, LargeSampleDgp
 
 
@@ -77,6 +79,14 @@ class TestEstimate:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
+    def test_non_finite_nu_exit_2(self, large_csv, tmp_path, capsys, nu):
+        # nan used to exit 1 with LinAlgError, inf to exit 4.
+        out = tmp_path / "fit"
+        assert main(["estimate", "--data", str(large_csv), f"--nu={nu}", "--out", str(out)]) == 2
+        assert "nu must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reruns_byte_identical(self, large_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -165,6 +175,31 @@ class TestFpw:
             ]
         )
         assert code == 2
+
+
+    @pytest.fixture
+    def vacant_csv(self, tmp_path):
+        # Stratum 1 has no control unit, so its control mean is pooled
+        # from the bounds: a non-finite bound used to reach fpw.json.
+        path = tmp_path / "vacant.csv"
+        path.write_text("y,w,x\n1,0,0\n2,1,0\n3,0,0\n4,1,1\n5,1,1\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "flags, what",
+        [
+            (["--bounds", "w=0:0,nan", "--bounds", "w=1:0,9"], "bounds"),
+            (["--bounds", "w=0:0,inf", "--bounds", "w=1:0,9"], "bounds"),
+            (["--bounds", "w=0:nan,1", "--bounds", "w=1:0,9"], "bounds"),
+            (["--bounds", "w=0:0,1", "--bounds", "w=1:0,9", "--kappa=nan,1"], "contrast weight"),
+        ],
+        ids=["bound_nan", "bound_inf", "lower_bound_nan", "kappa_nan"],
+    )
+    def test_non_finite_config_exit_2(self, vacant_csv, tmp_path, capsys, flags, what):
+        out = tmp_path / "fpw"
+        assert main(["fpw", "--data", str(vacant_csv), *flags, "--out", str(out)]) == 2
+        assert f"error (config): {what}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTest:
@@ -292,6 +327,14 @@ class TestTest:
         assert code == 2
         assert "error (config): grid" in capsys.readouterr().err
 
+    # Only counts that fail the check before anything is allocated.
+    @pytest.mark.parametrize("draws", [DRAW_LIMIT + 1, 10**12], ids=["limit+1", "1e12"])
+    def test_draws_over_limit_exit_2(self, finite_csv, tmp_path, capsys, draws):
+        out = tmp_path / "t"
+        assert self._run(finite_csv, out, "--draws", str(draws)) == 2
+        assert f"{draws} Monte Carlo draws requested (limit" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "grid,points", [("0:1e20:1", 10**20 + 1), ("0:1e6:1", 10**6 + 1)]
     )
@@ -356,6 +399,15 @@ class TestSimulate:
         assert main(argv) == 2
         assert "basis dimension" in capsys.readouterr().err
 
+    def test_large_study_counts_empty_arm_errors(self, tmp_path):
+        # At n = 3 a draw has no treated unit with probability about 0.51;
+        # such fits used to succeed, and no error was counted.
+        out = tmp_path / "sim"
+        argv = ["simulate", "--dgp", "large", "--n", "3", "--reps", "5", "--out", str(out)]
+        assert main(argv) == 0
+        errors = json.loads((out / "summary.json").read_text())["errors"]
+        assert errors["npw"] == errors["ipw"] > 0
+
     def test_unknown_estimator_exit_2(self, tmp_path):
         code = main(
             [
@@ -390,6 +442,28 @@ class TestSimulate:
         code = main(["simulate", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "--dgp" in capsys.readouterr().err
+
+    # The seed-0 sha256 of each study's estimates.csv, copied from
+    # PINNED in perfbench/workloads.py, at the `study` workload's settings.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--dgp", "finite", "--n", "50", "--lam", "0.02", "--reps", "2000",
+                 "--estimators", "fpw,wmd,ipw_fs,scaled"],
+                "c0e1556e4b926061bd10f9d676b881508265fd74738080cbba1a9f6d0a8a4e4a",
+            ),
+            (
+                ["--dgp", "large", "--n", "2000", "--reps", "200", "--estimators", "npw,ipw"],
+                "24a1d1bfd44ce8b4daa0aff8f572eb0d9da9d485c1a735868373e726b3377040",
+            ),
+        ],
+        ids=["finite", "large"],
+    )
+    def test_seed0_estimates_match_benchmark_pin(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "sim"
+        assert main(["simulate", *argv, "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "estimates.csv").read_bytes()).hexdigest() == digest
 
 
 class TestCheck:

@@ -15,6 +15,11 @@ from spw.finite_sample import (
     FsConfig,
     SetEstimate,
     _Accumulator,
+    _fpw_ends,
+    _ipw_fs,
+    _scaled,
+    _shrinkage_means,
+    _wmd,
     enumerate_expectation,
     fpw_set,
     ipw_fs_estimate,
@@ -127,6 +132,25 @@ class TestUnpooledSet:
         lo, hi = enumerate_expectation(stat, pot, model, strata)
         assert lo <= mu[1] + 1e-12
         assert hi >= mu[1] - 1e-12
+
+
+class TestFsConfig:
+    @pytest.mark.parametrize(
+        "bounds, kappa",
+        [
+            ({0: (0.0, math.nan), 1: (0.0, 1.0)}, {0: -1.0, 1: 1.0}),
+            ({0: (0.0, math.inf), 1: (0.0, 1.0)}, {0: -1.0, 1: 1.0}),
+            ({0: (-math.inf, 0.0), 1: (0.0, 1.0)}, {0: -1.0, 1: 1.0}),
+            ({0: (math.nan, 1.0), 1: (0.0, 1.0)}, {0: -1.0, 1: 1.0}),
+            ({0: (0.0, 1.0), 1: (0.0, 1.0)}, {0: math.nan, 1: 1.0}),
+            ({0: (0.0, 1.0), 1: (0.0, 1.0)}, {0: -1.0, 1: math.inf}),
+        ],
+        ids=["hi_nan", "hi_inf", "lo_-inf", "lo_nan", "kappa_nan", "kappa_inf"],
+    )
+    def test_non_finite_values_rejected(self, bounds, kappa):
+        # A NaN bound passed the lo > hi check and reached fpw.json.
+        with pytest.raises(ConfigError, match="must be finite"):
+            FsConfig(bounds=bounds, kappa=kappa)
 
 
 class TestFpw:
@@ -719,3 +743,39 @@ class TestChunkedEnumerationMatchesLoopReference:
                 assert calls == ref_calls, (case, kind)
                 assert type(got) is type(ref), (case, kind)
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (case, kind)
+
+
+# ---------------------------------------------------------------------------
+# Block forms: each private kernel on a block of replications (R, n) that
+# share one StrataIndex must give, row for row, the bytes of the public
+# wrapper on that row's assignment.
+# ---------------------------------------------------------------------------
+
+
+class TestBlockKernelsMatchOneAssignment:
+    def test_every_row_equals_the_wrapper(self):
+        rng = np.random.default_rng(20262)
+        for case in range(60):
+            (y, w, x), cfg, pool = _random_design(rng)
+            rows = int(rng.integers(1, 30))
+            lam1 = rng.choice([0.05, 0.5, 0.95], x.size)
+            w_block = (rng.random((rows, x.size)) < lam1).astype(np.int64)
+            y_block = rng.normal(0.0, 10.0, (rows, x.size)) * rng.choice([1e-3, 1.0, 1e3])
+            strata = build_strata(Dataset.from_arrays(y, w, x, treatments=(0, 1)))
+            lo, hi, per_w = _fpw_ends(y_block, w_block, strata, cfg, pool)
+            wmd = _wmd(y_block, w_block, strata, cfg)
+            ipw = _ipw_fs(y_block, w_block, strata, cfg)
+            scaled = _scaled(y_block, w_block, strata, 1, 0)
+            means = {arm: _shrinkage_means(y_block, w_block, strata, arm) for arm in (0, 1)}
+            for r in range(rows):
+                one = Dataset.from_arrays(y_block[r], w_block[r], x, treatments=(0, 1))
+                where = (case, r)
+                est = fpw_set(one, strata, cfg, pool_weights=pool)
+                assert (lo[r], hi[r]) == (est.interval.lo, est.interval.hi), where
+                for arm, (arm_lo, arm_hi) in per_w.items():
+                    assert (arm_lo[r], arm_hi[r]) == (est.per_w[arm].lo, est.per_w[arm].hi)
+                    for k in range(strata.n_strata):
+                        assert means[arm][r, k] == shrinkage_mean(one, strata, arm, k), where
+                assert wmd[r] == wmd_estimate(one, strata, cfg), where
+                assert ipw[r] == ipw_fs_estimate(one, strata, cfg), where
+                assert scaled[r] == scaled_ate(one, strata, 1, 0), where

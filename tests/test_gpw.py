@@ -187,6 +187,33 @@ class TestGpwEstimate:
             fit(data)
         assert (err.value.label, err.value.row) == (2, 3)
 
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda d: gpw_estimate(d, None, BasisSpec.linear(), nu=1.0),
+            lambda d: gpw_estimate(d, None, BasisSpec.linear(), nu=-1.0),
+            lambda d: gpw_as_weighted_ipw(d, None, BasisSpec.linear(), nu=1.0),
+            *(lambda d, v=v: alt_estimate(d, None, CONST, v) for v in ALT_VARIANTS),
+        ],
+        ids=["gpw", "ipw", "weighted_ipw", *ALT_VARIANTS],
+    )
+    @pytest.mark.parametrize("arm", [0, 1], ids=["all_control", "all_treated"])
+    def test_empty_arm_raises_denominator_zero(self, fit, arm):
+        # All-control, these rows gave beta = (7.21, -33.86) at nu = 1.
+        x = np.array([0.1, 0.5, 0.9, 0.3])
+        data = Dataset.from_arrays(
+            [10.0, 9.0, 8.0, 7.0], [arm] * 4, x, mode="large", propensity=x**4
+        )
+        with pytest.raises(DenominatorZero):
+            fit(data)
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_nu_rejected(self, nu):
+        data = _random_dataset(np.random.default_rng(5), n=50)
+        for fit in (gpw_estimate, gpw_as_weighted_ipw):
+            with pytest.raises(ConfigError, match="nu"):
+                fit(data, None, CONST, nu=nu)
+
     def test_psd_tolerance_allows_tiny_negative_eigenvalue(self):
         sigma = np.array([[1.0, 0.0], [0.0, -1e-12]])
         fit = GpwFit(np.array([1.0, 0.0]), sigma, 1.0, 100, 1.0)
@@ -547,10 +574,16 @@ class TestMomentKernelMatchesReference:
         seen = set()
         for case in range(100):
             data = _random_design(rng, basis)
+            empty_arm = data.w.all() or not data.w.any()
             for recipe in self.RECIPES:
                 got = self._fit(recipe, data, basis)
-                ref = self._fit(recipe, data, basis, reference=True)
                 where = (basis.name, case, recipe)
+                if empty_arm:
+                    # The references fit such a sample; every fit now refuses it.
+                    assert got is DenominatorZero, where
+                    seen.add("empty arm")
+                    continue
+                ref = self._fit(recipe, data, basis, reference=True)
                 if isinstance(ref, type):
                     assert got is ref, where
                     seen.add(ref.__name__)
@@ -570,6 +603,12 @@ class TestMomentKernelMatchesReference:
                 assert np.all(np.abs(got.sigma - ref.sigma) <= 1e-12 * scale), where
                 seen.add("fit")
         # The designs reach the fitted case and the guards each recipe keeps.
-        expected = {"fit", "SingularDesign", "PropensityOnBoundary"}
-        expected |= {"DenominatorZero"} if basis.dim == 1 else {"ConfigError"}
+        # For the constant and linear bases only an empty arm made a fit
+        # singular here, and that is now refused first; the singular guard
+        # on those bases is test_singular_design_detected's.
+        expected = {"fit", "empty arm", "PropensityOnBoundary"}
+        if basis.dim > 1:
+            expected.add("ConfigError")
+        if basis.dim > 2:
+            expected.add("SingularDesign")
         assert expected <= seen

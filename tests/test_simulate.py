@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from spw.data import RngHandle, build_strata
+import dataclasses
+import math
+
+from spw import simulate
+from spw.data import Dataset, RngHandle, build_strata
 from spw.errors import DegenerateSamples, SpwError, TooFewSamples
-from spw.finite_sample import fpw_set
+from spw.finite_sample import _wmd, fpw_set
 from spw.simulate import FiniteSampleDgp, LargeSampleDgp, density_summary, run_study
 
 
@@ -161,6 +165,90 @@ class TestRunStudy:
         assert set(np.unique(cover)) <= {0.0, 1.0}
 
 
+def _looped(estimators):
+    """The same estimators without their block forms: run_study then
+    loops over replications one at a time."""
+    return {name: (lambda data, est=est: est(data)) for name, est in estimators.items()}
+
+
+def _assert_same_study(got, ref):
+    assert got.columns == ref.columns
+    assert got.matrix.tobytes() == ref.matrix.tobytes()
+    assert got.error_counts == ref.error_counts
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReversedOddReps(FiniteSampleDgp):
+    """Replications 1, 3, ... list their units in reverse, so their strata
+    differ from replication 0's. Replication r's stream has spawn key
+    (0, r), so r is the key's last entry."""
+
+    def generate(self, rng):
+        data = super().generate(rng)
+        if rng.bit_generator.seed_seq.spawn_key[-1] % 2 == 0:
+            return data
+        return Dataset.from_arrays(data.y[::-1], data.w[::-1], data.x[::-1], treatments=(0, 1))
+
+
+def _odd_w_sum(y, w, strata):
+    """wmd, failing on every replication whose number of treated units is odd."""
+    if np.any(np.add.reduce(w, -1) % 2 == 1):
+        raise DegenerateSamples()
+    return {"est": _wmd(y, w, strata, FiniteSampleDgp().fs_config())}
+
+
+class TestBlockRoute:
+    """run_study's block route against its per-replication loop."""
+
+    def test_random_designs_and_subsets_equal_the_loop(self):
+        rng = np.random.default_rng(20263)
+        names = ["fpw", "wmd", "ipw_fs", "scaled"]
+        for case in range(12):
+            n = 5 * int(rng.integers(2, 41))  # 10 ... 200: 1638 ... 81 replications a block
+            dgp = FiniteSampleDgp(n=n, lam1=float(rng.uniform(0.01, 0.99)))
+            subset = [name for name in names if rng.random() < 0.6] or ["fpw"]
+            reps = int(rng.integers(2, 3 * max(1, 2**14 // n)))
+            seed = int(rng.integers(2**32))
+            estimators = _estimators(dgp, *subset)
+            got = run_study(dgp, estimators, reps=reps, seed=seed)
+            ref = run_study(dgp, _looped(estimators), reps=reps, seed=seed)
+            _assert_same_study(got, ref)
+
+    def test_workload_settings_equal_the_loop(self):
+        dgp = FiniteSampleDgp(n=50, lam1=0.02)
+        estimators = _estimators(dgp)
+        got = run_study(dgp, estimators, reps=700, seed=1)
+        _assert_same_study(got, run_study(dgp, _looped(estimators), reps=700, seed=1))
+
+    def test_raising_block_is_replayed_per_replication(self):
+        dgp = FiniteSampleDgp(n=50, lam1=0.5)
+        estimators = {"odd": simulate._BlockEstimator(_odd_w_sum), **_estimators(dgp, "scaled")}
+        got = run_study(dgp, estimators, reps=800, seed=2)
+        ref = run_study(dgp, _looped(estimators), reps=800, seed=2)
+        _assert_same_study(got, ref)
+        failed = np.isnan(got.column("odd.est"))
+        assert 0 < got.error_counts["odd"] == failed.sum() < 800
+        assert not np.isnan(got.column("scaled.est")).any()
+
+    def test_replication_with_other_strata_runs_alone(self):
+        dgp = _ReversedOddReps(n=50, lam1=0.3)
+        estimators = _estimators(dgp)
+        got = run_study(dgp, estimators, reps=40, seed=3)
+        _assert_same_study(got, run_study(dgp, _looped(estimators), reps=40, seed=3))
+
+    def test_one_strata_index_per_study(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return build_strata(data)
+
+        monkeypatch.setattr(simulate, "build_strata", counting)
+        dgp = FiniteSampleDgp(n=50, lam1=0.02)
+        run_study(dgp, _estimators(dgp), reps=2000, seed=0)
+        assert len(calls) == 1
+
+
 class TestFpwIntervalFraction:
     def test_rarely_set_valued_under_strong_overlap(self):
         # lambda = 0.5, n = 500: both strata occupied essentially always.
@@ -199,6 +287,14 @@ class TestDensitySummary:
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateSamples):
             density_summary(np.full(100, 2.0))
+
+    def test_blocks_equal_one_matrix(self):
+        s = RngHandle(12).generator().standard_normal(2000) * 3.0 + 1.0
+        dens = density_summary(s)
+        bw, grid = dens.bandwidth, dens.grid
+        z = (grid[:, None] - s[None, :]) / bw
+        whole = np.exp(-0.5 * z**2).sum(axis=1) / (s.size * bw * math.sqrt(2.0 * math.pi))
+        assert dens.density.tobytes() == whole.tobytes()
 
     def test_bandwidth_recorded(self):
         rng = RngHandle(10).generator()

@@ -1,9 +1,10 @@
 """Command-line front end: estimate, fpw, test, simulate, check.
 
-Every run echoes its effective configuration, package versions, and
-seed into a manifest next to the outputs, so a run can be reproduced
-from the manifest alone. Numeric outputs are serialized with full
-(17 significant digit) precision.
+Every run echoes its effective configuration (with the seed of the
+commands that draw random numbers) and package versions into a manifest
+next to the outputs, so a run can be reproduced from the manifest alone.
+Numeric outputs are serialized with full (17 significant digit)
+precision.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .checks import check_suite
 from .data import Dataset, RngHandle, build_strata, load_csv
-from .errors import ConfigError, DataError, NumericError, SpwError
+from .errors import ConfigError, DataError, DegenerateSamples, NumericError, TooFewSamples
 from .finite_sample import FsConfig, fpw_set
 from .gpw import BasisSpec, gpw_estimate, pate_estimate, wald_ci
 from .inference import HetBounds, ModelClass, NullGrid, confidence_set, pvalue_bounds
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# Options given with action="append": only these take a list in --config.
+_REPEATABLE = ("bounds", "lambda_box", "kind")
 
 
 def _fmt(x) -> str:
@@ -57,10 +61,11 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
+def _write_outputs(args: argparse.Namespace, files: dict) -> None:
+    """Write each file into --out, then manifest.json. A .csv is (header, rows)."""
     manifest = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": _config_echo(args),
         "versions": {
             "spw": __version__,
             "numpy": np.__version__,
@@ -68,7 +73,23 @@ def _write_manifest(out_dir: Path, command: str, config: dict) -> None:
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in [*files.items(), ("manifest.json", manifest)]:
+            if name.endswith(".csv"):
+                _write_csv(out_dir / name, *content)
+            else:
+                _write_json(out_dir / name, content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to --out {args.out!r}: {exc}") from None
+
+
+def _seed(text: str) -> int:
+    # A negative seed would reach numpy's SeedSequence, which raises ValueError.
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _basis_from_spec(spec: str) -> BasisSpec:
@@ -117,57 +138,55 @@ def _require_args(args, *names) -> None:
 def _load_dataset(args, mode: str) -> Dataset:
     _require_args(args, "data")
     schema = (args.y_col, args.w_col, args.x_col)
-    return load_csv(
-        args.data,
-        schema,
-        mode=mode,
-        propensity_col=getattr(args, "propensity_col", None),
-    )
-
-
-def _explicit_options(argv) -> set[str]:
-    """Destinations of the options given on the command line.
-
-    The arguments are parsed again with every default replaced by
-    argparse's "not given" sentinel, so an option passed with its
-    default value still counts as given.
-    """
-    parser = build_parser()
-    pending = [parser]
-    while pending:
-        p = pending.pop()
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                pending.extend(action.choices.values())
-    return set(vars(parser.parse_args(argv)))
-
-
-def _merge_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Apply values from --config JSON for options not given as flags."""
-    if not getattr(args, "config", None):
-        return args
     try:
-        file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    explicit = _explicit_options(argv)
-    for key, value in file_values.items():
-        if not hasattr(args, key):
+        return load_csv(
+            args.data,
+            schema,
+            mode=mode,
+            propensity_col=getattr(args, "propensity_col", None),
+        )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read --data: {exc}") from None
+
+
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The --config file's values as flag tokens for args.command.
+
+    A string value is the flag's text, any other value its JSON text,
+    and null leaves the default. A list gives a repeatable option one
+    flag per item; the option's flags on the command line replace it.
+    """
+    try:
+        values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError("config file must hold a JSON object")
+    known = _config_echo(args)
+    tokens = []
+    for key, value in values.items():
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        if key not in explicit:
-            setattr(args, key, value)
-    return args
+        if key == "command":
+            if value != args.command:
+                raise ConfigError(f"config file is for command {value!r}, not {args.command!r}")
+            continue
+        if isinstance(value, list) and key not in _REPEATABLE:
+            raise ConfigError(f"config key {key!r} takes one value, not a list")
+        if value is None or (key in _REPEATABLE and known[key] is not None):
+            continue
+        flag = "--" + key.replace("_", "-")
+        for item in value if isinstance(value, list) else [value]:
+            tokens.append(f"{flag}={item if isinstance(item, str) else json.dumps(item)}")
+    return tokens
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[int, dict | None]:
     data = _load_dataset(args, mode="large")
     basis = _basis_from_spec(args.basis)
     fit = gpw_estimate(data, None, basis, nu=args.nu)
     pate = pate_estimate(fit, data, basis)
     cis = [wald_ci(fit, np.eye(basis.dim)[j], args.level) for j in range(basis.dim)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "beta": fit.beta,
         "sigma": fit.sigma,
@@ -178,21 +197,17 @@ def cmd_estimate(args) -> int:
         "wald_ci": {"level": args.level, "intervals": cis},
         "average_effect": pate,
     }
-    _write_json(out_dir / "fit.json", payload)
-    _write_manifest(out_dir, "estimate", _config_echo(args))
     print(f"beta = {[_fmt(b) for b in fit.beta]}  (condition {fit.condition:.3e})")
-    return EXIT_OK
+    return EXIT_OK, {"fit.json": payload}
 
 
-def cmd_fpw(args) -> int:
+def cmd_fpw(args) -> tuple[int, dict | None]:
     _require_args(args, "bounds")
     data = _load_dataset(args, mode="finite")
     strata = build_strata(data)
     bounds = _parse_spans(args.bounds, "bounds spec", "w=LABEL:LO,HI")
     cfg = FsConfig(bounds=bounds, kappa=_parse_kappa(args.kappa))
     est = fpw_set(data, strata, cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "lo": est.interval.lo,
         "hi": est.interval.hi,
@@ -200,13 +215,11 @@ def cmd_fpw(args) -> int:
     }
     if est.is_point:
         payload["point"] = est.interval.lo
-    _write_json(out_dir / "fpw.json", payload)
-    _write_manifest(out_dir, "fpw", _config_echo(args))
     print(f"contrast set-estimate [{_fmt(est.interval.lo)}, {_fmt(est.interval.hi)}]")
-    return EXIT_OK
+    return EXIT_OK, {"fpw.json": payload}
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> tuple[int, dict | None]:
     _require_args(args, "grid", "lambda_box")
     data = _load_dataset(args, mode="finite")
     strata = build_strata(data)
@@ -219,14 +232,7 @@ def cmd_test(args) -> int:
     models = ModelClass.from_lambda_boxes(boxes, strata.n_strata, resolution=args.resolution)
     het = HetBounds(c1=args.c1)
     pvb = pvalue_bounds(
-        data,
-        strata,
-        args.statistic,
-        grid,
-        models,
-        het,
-        args.draws,
-        RngHandle(args.seed),
+        data, strata, args.statistic, grid, models, het, args.draws, RngHandle(args.seed)
     )
     retained = confidence_set(pvb, args.alpha)
     warnings = []
@@ -238,36 +244,29 @@ def cmd_test(args) -> int:
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
     se_lo, se_hi = pvb.mc_standard_errors()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = zip(pvb.grid, pvb.p_lo, pvb.p_hi)
-    _write_csv(out_dir / "pvalues.csv", ["Tbar", "p_lo", "p_hi"], rows)
-    _write_json(
-        out_dir / "pvalues_meta.json",
-        {
-            "statistic": pvb.statistic,
-            "observed": pvb.observed,
-            "draws": pvb.draws,
-            "n_models": pvb.n_models,
-            "c1": pvb.c1,
-            "alpha": args.alpha,
-            "confidence_set": retained,
-            "grid_resolution": step,
-            "exceedance_counts": {"p_lo": pvb.k_lo, "p_hi": pvb.k_hi},
-            "mc_standard_error": {"p_lo": se_lo, "p_hi": se_hi},
-            "warnings": warnings,
-        },
-    )
-    _write_manifest(out_dir, "test", _config_echo(args))
+    meta = {
+        "statistic": pvb.statistic,
+        "observed": pvb.observed,
+        "draws": pvb.draws,
+        "n_models": pvb.n_models,
+        "c1": pvb.c1,
+        "alpha": args.alpha,
+        "confidence_set": retained,
+        "grid_resolution": step,
+        "exceedance_counts": {"p_lo": pvb.k_lo, "p_hi": pvb.k_hi},
+        "mc_standard_error": {"p_lo": se_lo, "p_hi": se_hi},
+        "warnings": warnings,
+    }
     print(
         f"p-value bounds over {pvb.grid.size} grid points "
         f"({pvb.n_models} model(s), B={pvb.draws}); "
         f"{retained.size} points retained at alpha={args.alpha}"
     )
-    return EXIT_OK
+    curves = (["Tbar", "p_lo", "p_hi"], zip(pvb.grid, pvb.p_lo, pvb.p_hi))
+    return EXIT_OK, {"pvalues.csv": curves, "pvalues_meta.json": meta}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict | None]:
     _require_args(args, "dgp")
     if args.dgp == "large":
         dgp = LargeSampleDgp(n=args.n)
@@ -283,29 +282,29 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"estimator {name!r} is not available for the {args.dgp} DGP")
         estimators[name], truths = table[name]
         truth.update({f"{name}.{col}": value for col, value in truths.items()})
+    if not estimators:
+        raise ConfigError("--estimators names no estimator")
     result = run_study(dgp, estimators, reps=args.reps, seed=args.seed)
     summary = result.summary(truth)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "summary.json", {"summary": summary, "errors": result.error_counts})
-    _write_csv(out_dir / "estimates.csv", result.columns, result.matrix)
+    files = {
+        "summary.json": {"summary": summary, "errors": result.error_counts},
+        "estimates.csv": (result.columns, result.matrix),
+    }
     for j, col in enumerate(result.columns):
-        series = result.matrix[:, j]
-        series = series[np.isfinite(series)]
-        if series.size < 30 or np.std(series) == 0.0:
+        try:
+            dens = density_summary(result.matrix[:, j])
+        except (TooFewSamples, DegenerateSamples):
             continue
-        dens = density_summary(series)
-        _write_csv(out_dir / f"density_{col}.csv", ["x", "density"], zip(dens.grid, dens.density))
-    _write_manifest(out_dir, "simulate", _config_echo(args))
+        files[f"density_{col}.csv"] = (["x", "density"], zip(dens.grid, dens.density))
     for col, entry in summary.items():
         line = f"{col}: mean {entry['mean']:.4f} (sd {entry['sd']:.4f})"
         if "bias" in entry:
             line += f", bias {entry['bias']:+.4f}"
         print(line)
-    return EXIT_OK
+    return EXIT_OK, files
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict | None]:
     extra = {}
     for text in args.kind or []:
         try:
@@ -318,28 +317,21 @@ def cmd_check(args) -> int:
         extra[f"{kind.name}#{repeat + 1}" if repeat else kind.name] = kind
     report = check_suite(extra_kinds=extra or None)
     print(report.render())
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            out_dir / "check.json",
-            {
-                "rows": [
-                    {
-                        "kind": r.kind,
-                        "property": r.prop,
-                        "magnitude": r.magnitude,
-                        "threshold": r.threshold,
-                        "passed": r.passed,
-                        "expected_pass": r.expected_pass,
-                    }
-                    for r in report.rows
-                ],
-                "all_ok": report.all_ok,
-            },
-        )
-        _write_manifest(out_dir, "check", _config_echo(args))
-    return EXIT_OK if report.all_ok else EXIT_NUMERIC
+    code = EXIT_OK if report.all_ok else EXIT_NUMERIC
+    if not args.out:
+        return code, None
+    rows = [
+        {
+            "kind": r.kind,
+            "property": r.prop,
+            "magnitude": r.magnitude,
+            "threshold": r.threshold,
+            "passed": r.passed,
+            "expected_pass": r.expected_pass,
+        }
+        for r in report.rows
+    ]
+    return code, {"check.json": {"rows": rows, "all_ok": report.all_ok}}
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -354,12 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spw {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True):
-        p.add_argument("--seed", type=int, default=0)
+    def add_common(p, data=True, seed=False):
+        if seed:
+            p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default="spw_out")
         p.add_argument("--config", default=None, help="JSON file; flags override its values")
         if data:
-            # Required, but possibly supplied through --config; checked post-merge.
+            # Required, but possibly supplied through --config; checked by each command.
             p.add_argument("--data", default=None)
             p.add_argument("--y-col", default="y")
             p.add_argument("--w-col", default="w")
@@ -380,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpw.set_defaults(func=cmd_fpw)
 
     p_test = sub.add_parser("test", help="finite-sample p-value bounds for weak nulls")
-    add_common(p_test)
+    add_common(p_test, seed=True)
     p_test.add_argument("--grid", default=None, metavar="LO:HI:STEP")
     p_test.add_argument("--c1", type=float, default=0.0)
     p_test.add_argument("--lambda-box", action="append", default=None, metavar="k=K:LO,HI")
@@ -391,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="replication study over a built-in DGP")
-    add_common(p_sim, data=False)
+    add_common(p_sim, data=False, seed=True)
     p_sim.add_argument("--dgp", choices=("large", "finite"), default=None)
     p_sim.add_argument("--n", type=int, default=2000)
     p_sim.add_argument("--reps", type=int, default=500)
@@ -401,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the residual property suite")
     p_check.add_argument("--out", default=None)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--config", default=None)
     p_check.add_argument(
         "--kind",
@@ -418,8 +410,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, argv)
-        return args.func(args)
+        if args.config:
+            # The file's flags go right after the command, so the line's win.
+            argv = sys.argv[1:] if argv is None else list(argv)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_tokens(args), *argv[at:]])
+        code, files = args.func(args)
+        if files is not None:
+            _write_outputs(args, files)
+        return code
     except ConfigError as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -429,9 +428,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error (numeric): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except SpwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -117,15 +117,15 @@ class ModelClass:
             raise ConfigError("a lambda interval is required for every stratum")
         if resolution < 1:
             raise ConfigError("grid resolution must be at least 1")
-        axes = []
-        for k in range(n_strata):
-            lo, hi = boxes[k]
+        spans = [boxes[k] for k in range(n_strata)]
+        for k, (lo, hi) in enumerate(spans):
             if not (0.0 < lo <= hi < 1.0):
                 raise ConfigError(f"lambda interval for stratum {k} must lie in (0, 1)")
-            axes.append([lo] if lo == hi else list(np.linspace(lo, hi, resolution)))
-        total = math.prod(len(a) for a in axes)
+        # Counted before np.linspace builds any axis of a huge resolution.
+        total = math.prod(1 if lo == hi else resolution for lo, hi in spans)
         if total > MODEL_LIMIT:
             raise ConfigError(f"lambda grid would create {total} models (limit {MODEL_LIMIT})")
+        axes = [[lo] if lo == hi else list(np.linspace(lo, hi, resolution)) for lo, hi in spans]
         models = tuple(
             AssignmentModel.binary(np.asarray(combo)) for combo in itertools.product(*axes)
         )

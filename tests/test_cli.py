@@ -33,6 +33,14 @@ def finite_csv(tmp_path):
     return path
 
 
+def _exit_code(argv) -> int:
+    """main's return value, or the status of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestEstimate:
     def test_happy_path(self, large_csv, tmp_path, capsys):
         out = tmp_path / "fit"
@@ -65,6 +73,17 @@ class TestEstimate:
         code = main(["estimate", "--data", str(path), "--out", str(tmp_path / "x")])
         assert code == 3
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"y,w,x,e\n\xff\xfe,1,0.5,0.5\n"], ids=["absent", "latin1"])
+    def test_unreadable_data_file_exit_3(self, tmp_path, capsys, content):
+        # Both used to exit 1 with a traceback.
+        path = tmp_path / "data.csv"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "fit"
+        assert main(["estimate", "--data", str(path), "--out", str(out)]) == 3
+        assert "error (data): cannot read --data" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_level_exit_2(self, large_csv, tmp_path):
         code = main(
@@ -335,6 +354,13 @@ class TestTest:
         assert f"{draws} Monte Carlo draws requested (limit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_resolution_exit_2(self, finite_csv, tmp_path, capsys):
+        # np.linspace used to build each axis before the models were counted.
+        out = tmp_path / "t"
+        assert self._run(finite_csv, out, "--resolution", str(10**30), "--draws", "50") == 2
+        assert f"would create {10**60} models (limit" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "grid,points", [("0:1e20:1", 10**20 + 1), ("0:1e6:1", 10**6 + 1)]
     )
@@ -437,6 +463,25 @@ class TestSimulate:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("names", [",", " , ", ""])
+    def test_no_estimator_exit_2(self, tmp_path, capsys, names):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--dgp", "finite", "--n", "20", "--reps", "3"]
+        assert main([*argv, f"--estimators={names}", "--out", str(out)]) == 2
+        assert "--estimators names no estimator" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps, expected", [(29, set()), (30, {"fpw.hi", "fpw.lo", "fpw.mid"})])
+    def test_density_files_need_30_varying_values(self, tmp_path, capsys, reps, expected):
+        # fpw.is_interval is 1 in every replication, so it never gets one.
+        out = tmp_path / "sim"
+        argv = ["simulate", "--dgp", "finite", "--n", "20", "--lam", "0.3", "--estimators", "fpw"]
+        assert main([*argv, "--reps", str(reps), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        assert summary["fpw.is_interval"]["sd"] == 0.0
+        names = {p.name[len("density_"):-len(".csv")] for p in out.glob("density_*.csv")}
+        assert names == expected
 
     def test_missing_dgp_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path / "x")])
@@ -610,6 +655,123 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--dgp", "finite", "--threads", "2"])
         assert exc.value.code == 2
+
+    # (command, flags on the line, config file text, the flags the file
+    # stands for, or None where the run must exit 2).
+    CASES = {
+        "nu_text": ("estimate", [], '{"nu": "2"}', ["--nu", "2"]),
+        "nu_null": ("estimate", [], '{"nu": null}', []),
+        "level_text": ("estimate", [], '{"level": "0.9"}', ["--level", "0.9"]),
+        "draws_text": ("test", ["--grid", "0:5:1"], '{"draws": "100"}', ["--draws", "100"]),
+        "c1_text": (
+            "test", ["--grid", "0:5:1", "--draws", "60"], '{"c1": "0.5"}', ["--c1", "0.5"]
+        ),
+        "lam_text": ("simulate", ["--reps", "3"], '{"lam": "0.5"}', ["--lam", "0.5"]),
+        "check_manifest_nulls": (
+            "check", [], '{"command": "check", "out": null, "config": null, "kind": null}', []
+        ),
+        "reps_fraction": ("simulate", [], '{"reps": 3.5}', None),
+        "reps_nan": ("simulate", [], '{"reps": NaN}', None),
+        "seed_fraction": ("simulate", ["--reps", "3"], '{"seed": 1.5}', None),
+        "basis_number": ("estimate", [], '{"basis": 3}', None),
+        "grid_number": ("test", ["--draws", "60"], '{"grid": 5}', None),
+        "kappa_list": ("fpw", [], '{"kappa": [-1, 1]}', None),
+        "estimators_list": ("simulate", ["--reps", "3"], '{"estimators": ["fpw"]}', None),
+        "top_level_list": ("estimate", [], '["nu", 2]', None),
+        "nested_too_deep": ("estimate", [], "[" * 10**5 + "]" * 10**5, None),
+        "dgp_choice": ("simulate", ["--reps", "3"], '{"dgp": "medium"}', None),
+        "nu_boolean": ("estimate", [], '{"nu": true}', None),
+        "other_command": ("estimate", [], '{"command": "fpw"}', None),
+    }
+
+    @pytest.fixture
+    def bases(self, large_csv, finite_csv):
+        return {
+            "estimate": ["estimate", "--data", str(large_csv)],
+            "fpw": ["fpw", "--data", str(finite_csv), "--bounds", "w=0:6,14", "--bounds", "w=1:13,27"],
+            "test": [
+                "test", "--data", str(finite_csv), "--resolution", "2",
+                "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9",
+            ],
+            "simulate": ["simulate", "--n", "20", "--estimators", "fpw"],
+            "check": ["check"],
+        }
+
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_config_values_parse_as_flag_text(self, bases, tmp_path, capsys, case):
+        command, line, text, flags = self.CASES[case]
+        if command == "simulate" and "dgp" not in text:
+            line = [*line, "--dgp", "finite"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "from_config"
+        code = _exit_code([*bases[command], *line, "--config", str(cfg), "--out", str(out)])
+        if flags is None:
+            assert code == 2
+            assert not out.exists()
+            return
+        assert code == 0
+        ref = tmp_path / "from_flags"
+        assert main([*bases[command], *line, *flags, "--out", str(ref)]) == 0
+        names = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        configs = [json.loads((d / "manifest.json").read_text())["config"] for d in (out, ref)]
+        for config in configs:
+            del config["out"], config["config"]
+        assert configs[0] == configs[1]
+
+    def test_config_list_fills_a_repeatable_option(self, finite_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bounds": ["w=0:6,14", "w=1:13,27"], "kappa": "1,-1"}))
+        out = tmp_path / "out"
+        argv = ["fpw", "--data", str(finite_csv), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["bounds"] == ["w=0:6,14", "w=1:13,27"]
+        assert config["kappa"] == "1,-1"
+
+
+class TestSeed:
+    @pytest.fixture
+    def runs(self, finite_csv):
+        return {
+            "test": [
+                "test", "--data", str(finite_csv), "--grid", "0:5:1", "--draws", "50",
+                "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9",
+            ],
+            "simulate": ["simulate", "--dgp", "finite", "--n", "20", "--reps", "3"],
+        }
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_negative_seed_exit_2(self, runs, tmp_path, capsys, command):
+        # Both used to exit 1 with numpy's SeedSequence ValueError.
+        out = tmp_path / "x"
+        assert _exit_code([*runs[command], "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}')
+        assert _exit_code([*runs[command], "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "fpw", "check"])
+    def test_commands_without_draws_take_no_seed(self, tmp_path, capsys, command):
+        assert _exit_code([command, "--seed", "0"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 0}')
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
+
+class TestOutputs:
+    def test_out_at_a_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["check", "--out", str(path)]) == 2
+        assert "error (config): cannot write outputs to --out" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -4,11 +4,12 @@ Shrinkage-weighted means with exactly-known bias, the pooled unbiased
 set-estimator, the scaled average-effect unbiased statistic,
 inverse-weighting and modified-difference baselines, and an exact
 enumeration oracle that integrates any statistic over the full
-assignment distribution of small designs. The scaled statistic and
-the weak-null ``t_hat`` statistic of ``inference`` share one weight
-function (``_scaled_weights``), which computes each stratum's two
+assignment distribution of small designs. The scaled statistic's
+weight function (``_scaled_weights``) computes each stratum's two
 leave-one-out shares once and gathers them per unit, on one
-assignment or a batch of simulated ones.
+assignment or a block of replications. The weak-null ``t_hat``
+statistic of ``inference`` has the same weights, bit for bit, read
+from its per-stratum table of treated and control weights.
 
 Each estimator's arithmetic lives in one private kernel that takes the
 outcomes and assignments of one replication (n,) or of a block of

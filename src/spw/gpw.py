@@ -27,6 +27,10 @@ from .errors import (
 )
 
 CONDITION_LIMIT = 1e12
+# Highest degree ``BasisSpec.polynomial`` accepts: each fit builds an
+# (n, degree + 1) basis, and monomials of x uniform on (-1, 1) already
+# give a Gram matrix past CONDITION_LIMIT at degree 18.
+DEGREE_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,8 @@ class BasisSpec:
     def polynomial(cls, degree: int) -> "BasisSpec":
         if degree < 0:
             raise ConfigError("polynomial degree must be nonnegative")
+        if degree > DEGREE_LIMIT:
+            raise ConfigError(f"polynomial degree {degree} is above the limit {DEGREE_LIMIT}")
         name = f"poly:{degree}"
         return cls._builtin(
             lambda x: tuple(float(x) ** k for k in range(degree + 1)),

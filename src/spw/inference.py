@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, RngHandle, StrataIndex
 from .errors import ConfigError, StatisticNotLinear
-from .finite_sample import AssignmentModel, _scaled_weights
+from .finite_sample import AssignmentModel
 
 # Largest grid ``NullGrid.from_range`` builds: each point costs a line of
 # pvalues.csv and an entry in every curve.
@@ -133,56 +133,77 @@ class ModelClass:
 
 
 # ---------------------------------------------------------------------------
-# Linear statistics: Q weights as functions of (X, W), from finite_sample
+# Linear statistics: Q weights as functions of (X, W)
 # ---------------------------------------------------------------------------
 
 STATISTICS = ("t_hat", "wmd", "ipw")
 
 
+def _weight_table(name: str, strata: StrataIndex, m1: np.ndarray) -> np.ndarray:
+    """Per-stratum weights of the named statistic given treated counts m1,
+    (K,) or (B, K): a (..., K, 2) table whose [..., k, 1] is the weight of
+    a treated unit of stratum k and [..., k, 0] that of a control unit.
+
+    Every statistic weighs a treated unit by some a_k >= 0 and a control
+    unit by 0.0 - b_k, with m0 = N_k - m1 and leave-one-out size N_k - 1:
+
+    - ``t_hat``: a = m0 / (N_k - 1), b = m1 / (N_k - 1), ``scaled_ate``'s
+      weights p_0 1{W=1} - p_1 1{W=0};
+    - ``ipw``: a = 1 / max((m1 - 1) / (N_k - 1), floor), b the same in m0,
+      floor = 1 / (2 (N_k - 1)), ``ipw_fs_estimate``'s clamped shares;
+    - ``wmd``: a = N_k (1 / max(1, m1)), b the same in m0.
+
+    Each entry is the per-unit expression's bit for bit: the arm a unit
+    is not in contributes a quotient of 0 or a ``- 0.0``, both exact, and
+    0.0 - b_k is +0.0 at b_k = 0 as the per-unit form's difference is.
+    ``wmd`` keeps its own rounding, N_k (1 / max(1, m_w)): the estimator's
+    (N_k / max(1, m_w)) differs in the last bit, which moves p-values on
+    designs with tied outcomes.
+    """
+    loo_size = strata._loo_sizes
+    m0 = strata.counts - m1
+    if name == "t_hat":
+        a = m0 / loo_size
+        b = m1 / loo_size
+    elif name == "ipw":
+        floor = 1.0 / (2.0 * loo_size)
+        a = 1.0 / np.maximum((m1 - 1.0) / loo_size, floor)
+        b = 1.0 / np.maximum((m0 - 1.0) / loo_size, floor)
+    else:
+        a = strata.counts * (1.0 / np.maximum(1.0, m1))
+        b = strata.counts * (1.0 / np.maximum(1.0, m0))
+    table = np.empty(m1.shape + (2,))
+    table[..., 1] = a
+    np.subtract(0.0, b, out=table[..., 0])
+    return table
+
+
 def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
     """Per-unit weights Q_i of the named linear statistic, evaluated on
-    one assignment vector (n,) or a batch (B, n).
+    one assignment vector (n,) or a batch (B, n), boolean or 0/1.
 
     All supported statistics are linear in the outcome with weights
-    depending on (X, W) only; other names are rejected. ``t_hat`` is
-    ``scaled_ate``'s statistic and ``ipw`` divides by the clamped
-    leave-one-out share of ``ipw_fs_estimate``.
-
-    A unit's weight depends only on its stratum's treated count and its
-    own arm, so each row gets one treated and one control weight per
-    stratum, gathered once per unit (``t_hat`` through ``scaled_ate``'s
-    own ``_scaled_weights``). For ``ipw`` and ``wmd`` each is the
-    per-unit expression 1{W=1} / max(p_1, floor) - 1{W=0} / max(p_0,
-    floor), leave-one-out shares p, or N_k (1{W=1} / max(1, m_1) -
-    1{W=0} / max(1, m_0)) with the unit's indicators set to 1 and 0.
-    Dropping a quotient of 0 and a ``- 0.0`` is exact; a control weight
-    keeps its ``0.0 - x``, which is +0.0 at x = 0, so every weight is
-    the per-unit form's bit for bit.
+    depending on (X, W) only; other names are rejected. A unit's weight
+    is its row's ``_weight_table`` entry at its stratum and arm: one
+    count of the treated units per stratum, one table and one ``take``
+    from the flattened table at index ``row 2K + 2 label + treated``.
+    A flat ``take`` returns a C-ordered array; ``table[:, labels]``
+    would return an F-ordered one, whose row sums round differently.
     """
     if name not in STATISTICS:
         raise StatisticNotLinear(name)
     w = np.asarray(w)
-    treated = w == 1
-    if not np.all(treated | (w == 0)):
-        raise ConfigError("statistic weights are defined for binary assignments only")
-    if name == "t_hat":
-        return _scaled_weights(w, strata, 1, 0)
-    n_k = strata.counts.astype(float)  # (K,)
-    m1 = strata.count(treated)  # (K,) or (B, K)
-    m0 = n_k - m1
-    if name == "ipw":
-        loo_size = n_k - 1.0
-        floor = 1.0 / (2.0 * loo_size)
-        q1 = 1.0 / np.maximum((m1 - 1.0) / loo_size, floor)
-        q0 = 0.0 - 1.0 / np.maximum((m0 - 1.0) / loo_size, floor)
+    if w.dtype == bool:
+        treated = w
     else:
-        # wmd keeps its own rounding, n_k * (1{W = w} / max(1, m_w)): the
-        # estimator's (n_k / max(1, m_w)) * 1{W = w} differs in the last bit,
-        # which moves p-values on designs with tied outcomes.
-        q1 = n_k * (1.0 / np.maximum(1.0, m1))
-        q0 = n_k * (0.0 - 1.0 / np.maximum(1.0, m0))
-    labels = strata.labels
-    return np.where(treated, q1.take(labels, axis=-1), q0.take(labels, axis=-1))
+        treated = w == 1
+        if not np.all(treated | (w == 0)):
+            raise ConfigError("statistic weights are defined for binary assignments only")
+    table = _weight_table(name, strata, strata.count(treated))
+    index = strata.labels * 2 + treated
+    if index.ndim == 2:
+        index += (2 * strata.n_strata) * np.arange(len(index))[:, None]
+    return table.take(index)
 
 
 def observed_statistic(data: Dataset, strata: StrataIndex, name: str) -> float:
@@ -206,17 +227,29 @@ def omega_parts(
     is a row sum, so a row's value does not depend on the other rows;
     omega1 is ``np.mean``'s arithmetic, as in ``observed_statistic``, so
     a draw of the observed assignment reproduces t_obs exactly.
+
+    The slope's terms u = Q (W_sim - W) / n are never negative: a weight
+    takes the sign of its simulated arm (a_k >= 0 for a treated unit,
+    0.0 - b_k <= 0 for a control one; see ``_weight_table``), and
+    W_sim - W is 0 or has that same sign. A term can be -0.0, which
+    counts as nonnegative too. So the positive part is the slope itself,
+    byte for byte, and the negative part is +0.0, for every statistic in
+    ``STATISTICS``; neither is summed separately.
     """
     w_sim = np.atleast_2d(np.asarray(w_sim))
     q = statistic_weights(statistic, w_sim, strata)
+    om = np.empty((len(q), 4))
     # Not q @ y: a BLAS matrix-vector product rounds a row according to
     # its place in the kernel and in the thread split.
-    omega1 = (q * data.y).sum(axis=1) / data.n
-    u = q * (w_sim - data.w[None, :]) / data.n
-    omega2 = u.sum(axis=1)
-    omega3 = np.where(u >= 0, u, 0.0).sum(axis=1)
-    omega4 = np.where(u < 0, u, 0.0).sum(axis=1)
-    return np.column_stack([omega1, omega2, omega3, omega4])
+    om[:, 0] = (q * data.y).sum(axis=1) / data.n
+    # W_sim - W is -1, 0 or 1, so int8 holds it and q times it rounds as
+    # with any wider integer type.
+    u = q * np.subtract(w_sim, data.w, dtype=np.int8)
+    u /= data.n
+    om[:, 1] = u.sum(axis=1)
+    om[:, 2] = om[:, 1]
+    om[:, 3] = 0.0
+    return om
 
 
 def draw_omegas(
@@ -230,10 +263,10 @@ def draw_omegas(
     """Simulate assignment vectors under the model and decompose the
     statistic; returns a (draws, 4) array of omega parts.
 
-    The assignments are drawn and decomposed in blocks of rows. Each
-    block reads the next rows of ``rng.random((draws, n))``'s stream,
-    and every omega is a row sum, so the result does not depend on the
-    block size.
+    The assignments are drawn and decomposed in boolean blocks of rows.
+    Each block reads the next rows of ``rng.random((draws, n))``'s
+    stream, and every omega is a row sum, so the result does not depend
+    on the block size.
     """
     _require_binary(data)
     if draws < 1:
@@ -245,7 +278,7 @@ def draw_omegas(
     om = np.empty((draws, 4))
     for start in range(0, draws, rows):
         stop = min(start + rows, draws)
-        w_sim = (rng.random((stop - start, data.n)) < lam1).astype(np.int64)
+        w_sim = rng.random((stop - start, data.n)) < lam1
         om[start:stop] = omega_parts(data, strata, w_sim, statistic)
     return om
 

@@ -30,6 +30,13 @@ from .finite_sample import FsConfig, _fpw_ends, _ipw_fs, _scaled, _wmd
 from .gpw import BasisSpec, gpw_estimate, pate_estimate, wald_ci
 from .inference import _BLOCK_CELLS
 
+# Largest sample size a built-in DGP draws: each replication holds a few
+# float arrays of n values, and a large-sample fit a few more.
+SAMPLE_LIMIT = 10**6
+# Most replications ``run_study`` runs: each estimator's (reps, columns)
+# float matrix is allocated whole, at its first success.
+REPS_LIMIT = 10**6
+
 Estimator = Callable[[Dataset], Mapping[str, float]]
 # A study's estimators by name, each with the true values of its columns.
 StudyTable = dict[str, tuple[Estimator, dict[str, float]]]
@@ -46,6 +53,11 @@ class _BlockEstimator:
 
     def __call__(self, data: Dataset) -> Mapping[str, float]:
         return self.form(data.y, data.w, build_strata(data))
+
+
+def _check_sample_size(n: int) -> None:
+    if n > SAMPLE_LIMIT:
+        raise ConfigError(f"sample size {n} is above the limit {SAMPLE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,7 @@ class LargeSampleDgp:
         # fits' identical ConfigError as an estimator failure every time.
         if self.n <= 2:
             raise ConfigError("sample size must exceed the basis dimension (2)")
+        _check_sample_size(self.n)
 
     def generate(self, rng: np.random.Generator) -> Dataset:
         x = rng.uniform(0.0, 1.0, self.n)
@@ -117,6 +130,7 @@ class FiniteSampleDgp:
             raise ConfigError(
                 "sample size must be a multiple of 5 (and at least 10) for the 80/20 split"
             )
+        _check_sample_size(self.n)
         if not (0.0 < self.lam1 < 1.0):
             raise ConfigError("assignment probability must lie in (0, 1)")
 
@@ -235,6 +249,8 @@ def run_study(
     """
     if reps < 2:
         raise ConfigError("at least two replications are required")
+    if reps > REPS_LIMIT:
+        raise ConfigError(f"{reps} replications requested (limit {REPS_LIMIT})")
     handle = RngHandle(seed)
     cols: dict[str, tuple[str, ...]] = {}
     blocks: dict[str, np.ndarray] = {}  # name -> (reps, len(cols[name]))

@@ -107,6 +107,14 @@ class TestEstimate:
         assert "nu must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_polynomial_degree_exit_2(self, large_csv, tmp_path, capsys):
+        # Used to exit 1 with numpy's "Maximum allowed size exceeded".
+        out = tmp_path / "fit"
+        argv = ["estimate", "--data", str(large_csv), "--basis", f"poly:{10**30}"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"polynomial degree {10**30} is above the limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_byte_identical(self, large_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -433,6 +441,20 @@ class TestSimulate:
         assert main(argv) == 0
         errors = json.loads((out / "summary.json").read_text())["errors"]
         assert errors["npw"] == errors["ipw"] > 0
+
+    # Only sizes whose arrays numpy refuses outright: 10**15 float64s are
+    # past any address space, so the parent of this check raised MemoryError.
+    @pytest.mark.parametrize("dgp", ["large", "finite"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--n", f"sample size {10**15} is above the limit"), ("--reps", "replications requested")],
+    )
+    def test_huge_size_exit_2(self, tmp_path, capsys, dgp, option, message):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--dgp", dgp, "--n", "20", "--reps", "3", "--estimators", "ipw"]
+        assert main([*argv, option, str(10**15), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_estimator_exit_2(self, tmp_path):
         code = main(
@@ -772,6 +794,80 @@ class TestOutputs:
         path.write_text("")
         assert main(["check", "--out", str(path)]) == 2
         assert "error (config): cannot write outputs to --out" in capsys.readouterr().err
+
+
+class _NonFinite(str):
+    """A NaN or Infinity constant met while parsing JSON."""
+
+
+def _non_finite_fields(node, path=()):
+    """Paths (keys, with "[]" for a list item) of every _NonFinite in node."""
+    if isinstance(node, _NonFinite):
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _non_finite_fields(value, (*path, key))
+    elif isinstance(node, list):
+        for value in node:
+            yield from _non_finite_fields(value, (*path, "[]"))
+
+
+def _may_be_nan(name: str, path: tuple, payload) -> bool:
+    """The fields documented as possibly NaN: in summary.json, a column's
+    sd and mc_se when at most one replication succeeded, and its mean,
+    quantiles and bias when none did."""
+    if name != "summary.json" or len(path) != 3 or path[0] != "summary":
+        return False
+    n_ok = payload["summary"][path[1]]["n_ok"]
+    if path[2] in ("sd", "mc_se"):
+        return n_ok <= 1
+    return path[2] in ("mean", "q05", "q50", "q95", "bias") and n_ok == 0
+
+
+class TestStrictJson:
+    """Every JSON file a run writes parses without NaN or Infinity, apart
+    from the fields ``_may_be_nan`` lists."""
+
+    RUNS = {
+        "estimate": ["estimate", "--data", "{large}"],
+        "estimate-ipw-poly": ["estimate", "--data", "{large}", "--nu", "-1", "--basis", "poly:2"],
+        "fpw": ["fpw", "--data", "{finite}", "--bounds", "w=0:6,14", "--bounds", "w=1:13,27"],
+        "fpw-vacant": ["fpw", "--data", "{vacant}", "--bounds", "w=0:0,20", "--bounds", "w=1:0,30"],
+        **{
+            f"test-{stat}": [
+                "test", "--data", "{finite}", "--grid=-5:15:1", "--statistic", stat, "--c1", "0.5",
+                "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9", "--draws", "100",
+            ]
+            for stat in ("t_hat", "wmd", "ipw")
+        },
+        "simulate-finite": [
+            "simulate", "--dgp", "finite", "--n", "50", "--reps", "30", "--lam", "0.1",
+            "--estimators", "fpw,wmd,ipw_fs,scaled",
+        ],
+        # Seed 1: one replication of two has a treated unit, so n_ok = 1.
+        "simulate-one-success": [
+            "simulate", "--dgp", "large", "--n", "3", "--reps", "2", "--seed", "1",
+        ],
+        "check": ["check"],
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_json_outputs_are_finite(self, run, large_csv, finite_csv, tmp_path, capsys):
+        vacant = tmp_path / "vacant.csv"
+        vacant.write_text("y,w,x\n1,0,0\n2,1,0\n3,0,0\n4,1,1\n5,1,1\n6,1,1\n")
+        paths = {"large": large_csv, "finite": finite_csv, "vacant": vacant}
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in self.RUNS[run]]
+        assert main([*argv, "--out", str(out)]) == 0
+        files = sorted(out.glob("*.json"))
+        assert len(files) >= 2
+        allowed = 0
+        for path in files:
+            payload = json.loads(path.read_text(), parse_constant=_NonFinite)
+            for field in _non_finite_fields(payload):
+                assert _may_be_nan(path.name, field, payload), (path.name, field)
+                allowed += 1
+        assert (allowed > 0) == (run == "simulate-one-success")
 
 
 def test_cli_import_leaves_scipy_unloaded():

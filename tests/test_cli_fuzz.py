@@ -12,8 +12,8 @@ escapes.
 
 Sizes stay small: at most 200 draws, 5 replications, n = 60 and 50
 grid points. Integers past a checked limit go only to options that
-have one (--draws, --resolution, --seed and the grid's point count);
---n and --reps have none, so they only get small values.
+have one: --draws, --resolution, --seed, --n, --reps, the grid's point
+count and the degree of --basis poly:K.
 """
 
 import json
@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 
 from spw.cli import main
 from spw.data import RngHandle, write_csv
-from spw.inference import DRAW_LIMIT
-from spw.simulate import FiniteSampleDgp, LargeSampleDgp
+from spw.gpw import DEGREE_LIMIT
+from spw.inference import DRAW_LIMIT, GRID_LIMIT, MODEL_LIMIT
+from spw.simulate import REPS_LIMIT, SAMPLE_LIMIT, FiniteSampleDgp, LargeSampleDgp
 
 ODD = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308, -1e308, 0, -1]),
@@ -36,8 +37,11 @@ ODD = st.one_of(
     st.text(max_size=6),
     st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=3)), max_size=3),
 )
-# Past DRAW_LIMIT, the grid's point limit and any resolution's model limit.
-HUGE = st.integers(DRAW_LIMIT + 1, 10**30)
+# Past every checked limit: draws, grid points, any resolution's model
+# count, sample size, replications and polynomial degree.
+HUGE = st.integers(
+    max(DRAW_LIMIT, GRID_LIMIT, MODEL_LIMIT, SAMPLE_LIMIT, REPS_LIMIT, DEGREE_LIMIT) + 1, 10**30
+)
 
 
 def _column(name):
@@ -91,7 +95,10 @@ GRAMMAR = {
         "nu": (st.floats(-3, 3), st.just(0)),
         "basis": (
             st.sampled_from(["const", "linear", "poly:2", "1"]),
-            st.sampled_from(["poly:-1", "poly:x", "cubic", ""]),
+            st.one_of(
+                st.sampled_from(["poly:-1", "poly:x", "cubic", ""]),
+                HUGE.map(lambda h: f"poly:{h}"),
+            ),
         ),
         "level": (st.floats(0.01, 0.99), st.sampled_from([0, 1, 1.5])),
     },
@@ -128,8 +135,8 @@ GRAMMAR = {
     },
     "simulate": {
         "dgp": (st.sampled_from(["large", "finite"]), st.just("medium")),
-        "n": (st.sampled_from([10, 20, 25, 50, 60]), st.integers(-2, 60)),
-        "reps": (st.integers(2, 5), st.integers(-1, 1)),
+        "n": (st.sampled_from([10, 20, 25, 50, 60]), st.one_of(st.integers(-2, 60), HUGE)),
+        "reps": (st.integers(2, 5), st.one_of(st.integers(-1, 1), HUGE)),
         "lam": (st.floats(0.01, 0.99), st.sampled_from([0, 1, -0.5])),
         "estimators": (
             st.sampled_from(["ipw", "npw,ipw", "fpw,wmd,ipw_fs,scaled", "ipw,fpw"]),

@@ -17,6 +17,7 @@ from spw.errors import (
 )
 from spw.gpw import (
     ALT_VARIANTS,
+    DEGREE_LIMIT,
     BasisSpec,
     GpwFit,
     _propensity_values,
@@ -352,6 +353,15 @@ class TestBasisMatrix:
         z = basis.matrix(data)
         assert z.shape == (data.n, degree + 1)
         np.testing.assert_allclose(z, _per_row(basis, data), rtol=1e-15, atol=0)
+
+    def test_polynomial_at_degree_limit(self, data):
+        assert BasisSpec.polynomial(DEGREE_LIMIT).matrix(data).shape == (data.n, DEGREE_LIMIT + 1)
+
+    @pytest.mark.parametrize("degree", [DEGREE_LIMIT + 1, 10**30], ids=["limit+1", "1e30"])
+    def test_polynomial_over_degree_limit_rejected(self, degree):
+        # 10**30 used to reach np.arange, which raised a bare ValueError.
+        with pytest.raises(ConfigError, match=f"polynomial degree {degree} is above the limit"):
+            BasisSpec.polynomial(degree)
 
     def test_custom_fn_keeps_row_path(self, data):
         basis = dataclasses.replace(BasisSpec.linear(), fn=lambda x: (2.0, float(x) - 1.0))

@@ -13,7 +13,7 @@ import spw
 from spw import inference
 from spw.data import Dataset, RngHandle, build_strata
 from spw.errors import ConfigError, StatisticNotLinear
-from spw.finite_sample import AssignmentModel, scaled_ate
+from spw.finite_sample import AssignmentModel, _scaled_weights, scaled_ate
 from spw.inference import (
     STATISTICS,
     HetBounds,
@@ -181,6 +181,109 @@ class TestBlockedDraws:
             )
             digests.add(done.stdout.strip())
         assert len(digests) == 1
+
+
+def _where_weights(name, w, strata):
+    """The statistics' weights in their per-unit form, on 0/1 integers:
+    ``t_hat`` is ``scaled_ate``'s own weight function, ``ipw`` and ``wmd``
+    pick a gathered treated or control weight with ``np.where``."""
+    if name == "t_hat":
+        return _scaled_weights(w, strata, 1, 0)
+    treated = w == 1
+    n_k = strata.counts.astype(float)
+    m1 = strata.count(treated)
+    m0 = n_k - m1
+    if name == "ipw":
+        loo_size = n_k - 1.0
+        floor = 1.0 / (2.0 * loo_size)
+        q1 = 1.0 / np.maximum((m1 - 1.0) / loo_size, floor)
+        q0 = 0.0 - 1.0 / np.maximum((m0 - 1.0) / loo_size, floor)
+    else:
+        q1 = n_k * (1.0 / np.maximum(1.0, m1))
+        q0 = n_k * (0.0 - 1.0 / np.maximum(1.0, m0))
+    labels = strata.labels
+    return np.where(treated, q1.take(labels, axis=-1), q0.take(labels, axis=-1))
+
+
+def _where_omegas(data, strata, w_sim, name):
+    """All four omega columns summed separately, the slope's positive and
+    negative parts through ``np.where``."""
+    q = _where_weights(name, w_sim, strata)
+    u = q * (w_sim - data.w[None, :]) / data.n
+    return np.column_stack([
+        (q * data.y).sum(axis=1) / data.n,
+        u.sum(axis=1),
+        np.where(u >= 0, u, 0.0).sum(axis=1),
+        np.where(u < 0, u, 0.0).sum(axis=1),
+    ])
+
+
+def _many_strata_design(rng):
+    """Up to 50 strata of at least two units, with all units at one of
+    lambda = 0.02, 0.5, 0.98 or each stratum at its own uniform lambda."""
+    k_n = int(rng.integers(1, 51))
+    n = int(rng.integers(2 * k_n + 1, 2 * k_n + 250))
+    x = np.concatenate([np.arange(k_n).repeat(2), rng.integers(0, k_n, n - 2 * k_n)])
+    rng.shuffle(x)
+    lams = np.vstack([np.full((3, k_n), [[0.02], [0.5], [0.98]]), rng.uniform(0.02, 0.98, k_n)])
+    lam = lams[rng.integers(4)]
+    w = (rng.random(n) < lam[x]).astype(np.int64)
+    y = np.round(rng.normal(1.0, 3.0, n) + 2.0 * w, int(rng.integers(0, 3)))
+    data = Dataset.from_arrays(y, w, x, treatments=(0, 1))
+    return data, build_strata(data), lam
+
+
+class TestWeightTable:
+    """The weight table's gather against the per-unit np.where forms."""
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_weights_bytes_equal_where_form(self, statistic):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            data, strata, lam = _many_strata_design(rng)
+            block = rng.random((int(rng.integers(1, 120)), data.n)) < lam[data.x]
+            for w in (data.w, block[0], block):
+                ref = _where_weights(statistic, w.astype(np.int64), strata)
+                for given in (w.astype(bool), w.astype(np.int64)):
+                    q = statistic_weights(statistic, given, strata)
+                    assert q.flags.c_contiguous
+                    assert q.shape == ref.shape and q.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_balanced_draws_bytes_equal_where_form(self, statistic):
+        rng = np.random.default_rng(29)
+        for _ in range(6):
+            data, strata, _ = _many_strata_design(rng)
+            model = AssignmentModel.binary(np.full(strata.n_strata, 0.5))
+            draws = int(rng.integers(1, 1500))
+            seed = int(rng.integers(2**32))
+            om = draw_omegas(data, strata, model, statistic, draws, RngHandle(seed).generator())
+            sim = RngHandle(seed).generator().random((draws, data.n)) < 0.5
+            ref = _where_omegas(data, strata, sim.astype(np.int64), statistic)
+            assert om.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_slope_is_its_positive_part(self, statistic):
+        # u = Q (W_sim - W) / n is never negative, -0.0 included, so the
+        # positive part is the slope and the negative part is +0.0.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            data, strata, lam = _many_strata_design(rng)
+            block = rng.random((int(rng.integers(1, 200)), data.n)) < lam[data.x]
+            q = statistic_weights(statistic, block, strata)
+            assert not np.any(q * (block - data.w) / data.n < 0)
+            om = omega_parts(data, strata, block, statistic)
+            ref = _where_omegas(data, strata, block.astype(np.int64), statistic)
+            assert om[:, 2].tobytes() == om[:, 1].tobytes() == ref[:, 2].tobytes()
+            assert np.array_equal(np.signbit(om[:, 2]), np.signbit(ref[:, 2]))
+            assert np.all(om[:, 3] == 0.0) and not np.any(np.signbit(om[:, 3]))
+            assert not np.any(np.signbit(ref[:, 3]))
+
+    @pytest.mark.parametrize("w", [[1, 2, 0, 1], [0, -1, 1, 0]])
+    def test_non_binary_assignment_rejected(self, w):
+        data = Dataset.from_arrays([1.0, 2.0, 3.0, 4.0], [1, 0, 0, 1], [0, 0, 1, 1])
+        with pytest.raises(ConfigError, match="binary assignments only"):
+            statistic_weights("t_hat", np.array(w), build_strata(data))
 
 
 class TestPvalueBounds:

@@ -8,9 +8,16 @@ import math
 
 from spw import simulate
 from spw.data import Dataset, RngHandle, build_strata
-from spw.errors import DegenerateSamples, SpwError, TooFewSamples
+from spw.errors import ConfigError, DegenerateSamples, SpwError, TooFewSamples
 from spw.finite_sample import _wmd, fpw_set
-from spw.simulate import FiniteSampleDgp, LargeSampleDgp, density_summary, run_study
+from spw.simulate import (
+    REPS_LIMIT,
+    SAMPLE_LIMIT,
+    FiniteSampleDgp,
+    LargeSampleDgp,
+    density_summary,
+    run_study,
+)
 
 
 def _estimators(dgp, *names):
@@ -54,6 +61,13 @@ class TestFiniteSampleDgp:
     def test_n_must_split_evenly(self):
         with pytest.raises(SpwError):
             FiniteSampleDgp(n=52)
+
+    @pytest.mark.parametrize("dgp", [LargeSampleDgp, FiniteSampleDgp])
+    def test_sample_size_over_limit_rejected(self, dgp):
+        # SAMPLE_LIMIT is a multiple of 10, so +5 keeps the finite 80/20 split.
+        with pytest.raises(ConfigError, match="is above the limit"):
+            dgp(n=SAMPLE_LIMIT + 5)
+        assert dgp(n=SAMPLE_LIMIT).n == SAMPLE_LIMIT
 
     def test_bounds_cover_outcomes(self):
         dgp = FiniteSampleDgp(n=500, lam1=0.3)
@@ -110,6 +124,12 @@ class TestRunStudy:
         b = run_study(dgp, estimators, reps=20, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a.columns == b.columns
+
+    def test_reps_over_limit_rejected_before_any_replication(self):
+        est, calls = _counting([1.0])
+        with pytest.raises(ConfigError, match=f"{REPS_LIMIT + 1} replications requested"):
+            run_study(FiniteSampleDgp(n=50), {"est": est}, reps=REPS_LIMIT + 1, seed=0)
+        assert calls == []
 
     def test_summary_bias_fields(self):
         dgp = FiniteSampleDgp(n=50, lam1=0.5)

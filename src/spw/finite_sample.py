@@ -108,6 +108,13 @@ class AssignmentModel:
         return cls(lam=np.column_stack([1.0 - lam1, lam1]), treatments=(0, 1))
 
 
+def _require_strata(model: AssignmentModel, strata: StrataIndex) -> None:
+    if model.lam.shape[0] != strata.n_strata:
+        raise ConfigError(
+            f"assignment model has {model.lam.shape[0]} strata, the design {strata.n_strata}"
+        )
+
+
 def _check_finite(data: Dataset) -> None:
     if data.mode != "finite":
         raise FlavorMismatch("finite-sample estimators require a finite-sample dataset")
@@ -408,10 +415,7 @@ def enumerate_expectation(
     arms = len(model.treatments)
     if pot.shape != (n, arms):
         raise ConfigError(f"potential outcomes must be (n, n_treatments) = ({n}, {arms})")
-    if model.lam.shape[0] != strata.n_strata:
-        raise ConfigError(
-            f"assignment model has {model.lam.shape[0]} strata, the design {strata.n_strata}"
-        )
+    _require_strata(model, strata)
     size = arms**n
     if size > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(size, ENUMERATION_LIMIT)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, RngHandle, StrataIndex
 from .errors import ConfigError, StatisticNotLinear
-from .finite_sample import AssignmentModel
+from .finite_sample import AssignmentModel, _require_strata
 
 # Largest grid ``NullGrid.from_range`` builds: each point costs a line of
 # pvalues.csv and an entry in every curve.
@@ -27,7 +27,7 @@ GRID_LIMIT = 10**6
 # Largest model class ``ModelClass.from_lambda_boxes`` builds: every model
 # gets its own statistic weights and curve per draw.
 MODEL_LIMIT = 10**4
-# Most Monte Carlo draws ``draw_omegas`` makes: its (draws, 4) omega array
+# Most Monte Carlo draws ``draw_omegas`` makes: its (draws, 2) omega array
 # and the curve's per-draw temporaries then stay within a few hundred MB.
 DRAW_LIMIT = 10**7
 # Cells (draws x units) per block of simulated assignments: each (rows, n)
@@ -50,10 +50,11 @@ class HetBounds:
                 f"heterogeneity bound must be finite and nonnegative, got {self.c1}"
             )
 
-    def epsilon_corners(self) -> tuple[tuple[float, float], ...]:
+    def epsilon_corners(self) -> tuple[float, ...]:
+        """Slope multipliers of the lower and upper curves, one at c1 = 0."""
         if self.c1 == 0.0:
-            return ((0.0, 0.0),)
-        return tuple(itertools.product((-self.c1, self.c1), repeat=2))
+            return (0.0,)
+        return (-self.c1, self.c1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,24 +222,24 @@ def omega_parts(
 ) -> np.ndarray:
     """Statistic decomposition for given simulated assignments (B, n).
 
-    Columns: observed-outcome part, imputation slope, and the slope's
-    positive and negative components (for the heterogeneity corners).
-    All use weights evaluated on the simulated assignment. Every column
-    is a row sum, so a row's value does not depend on the other rows;
-    omega1 is ``np.mean``'s arithmetic, as in ``observed_statistic``, so
-    a draw of the observed assignment reproduces t_obs exactly.
+    Columns: observed-outcome part omega1 and imputation slope omega2,
+    with weights evaluated on the simulated assignment; under average
+    effect T and multiplier eps a draw's statistic is
+    (omega1 + omega2 T) + eps omega2. Each is a row sum, so a row's value
+    does not depend on the other rows; omega1 is ``np.mean``'s
+    arithmetic, as in ``observed_statistic``, so a draw of the observed
+    assignment reproduces t_obs exactly.
 
     The slope's terms u = Q (W_sim - W) / n are never negative: a weight
     takes the sign of its simulated arm (a_k >= 0 for a treated unit,
     0.0 - b_k <= 0 for a control one; see ``_weight_table``), and
-    W_sim - W is 0 or has that same sign. A term can be -0.0, which
-    counts as nonnegative too. So the positive part is the slope itself,
-    byte for byte, and the negative part is +0.0, for every statistic in
-    ``STATISTICS``; neither is summed separately.
+    W_sim - W is 0 or has that same sign (-0.0 counts as nonnegative).
+    So the slope needs no split into signed parts, and the statistic is
+    nondecreasing in both T and eps for every statistic in ``STATISTICS``.
     """
     w_sim = np.atleast_2d(np.asarray(w_sim))
     q = statistic_weights(statistic, w_sim, strata)
-    om = np.empty((len(q), 4))
+    om = np.empty((len(q), 2))
     # Not q @ y: a BLAS matrix-vector product rounds a row according to
     # its place in the kernel and in the thread split.
     om[:, 0] = (q * data.y).sum(axis=1) / data.n
@@ -247,8 +248,6 @@ def omega_parts(
     u = q * np.subtract(w_sim, data.w, dtype=np.int8)
     u /= data.n
     om[:, 1] = u.sum(axis=1)
-    om[:, 2] = om[:, 1]
-    om[:, 3] = 0.0
     return om
 
 
@@ -261,7 +260,7 @@ def draw_omegas(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Simulate assignment vectors under the model and decompose the
-    statistic; returns a (draws, 4) array of omega parts.
+    statistic; returns a (draws, 2) array of omega parts.
 
     The assignments are drawn and decomposed in boolean blocks of rows.
     Each block reads the next rows of ``rng.random((draws, n))``'s
@@ -273,9 +272,10 @@ def draw_omegas(
         raise ConfigError("at least one Monte Carlo draw is required")
     if draws > DRAW_LIMIT:
         raise ConfigError(f"{draws} Monte Carlo draws requested (limit {DRAW_LIMIT})")
+    _require_strata(model, strata)
     lam1 = model.lam[strata.labels, 1]
     rows = max(1, _BLOCK_CELLS // data.n)
-    om = np.empty((draws, 4))
+    om = np.empty((draws, 2))
     for start in range(0, draws, rows):
         stop = min(start + rows, draws)
         w_sim = rng.random((stop - start, data.n)) < lam1
@@ -287,26 +287,23 @@ def _exceedance_counts(om0, om1, c, tbar: np.ndarray, t_obs: float) -> np.ndarra
     """Number of draws whose simulated statistic ``(om0 + om1 * tbar[g]) + c``
     reaches ``t_obs``, at every point g of the sorted grid ``tbar``.
 
-    Rounded ``+`` and ``*`` are monotone, so per draw the test is
-    nondecreasing in g when om1 >= 0 (constant at om1 = +-0) and
-    nonincreasing when om1 < 0. A branchless bisection finds, per draw,
-    the number of leading grid points before the test flips, evaluating
-    the expression above bit for bit at log2(G) grid points; ``bincount``
-    and ``cumsum`` turn those thresholds into the counts. The result is
-    that of summing the dense (B, G) matrix of tests over draws.
+    Requires om1 >= 0 (-0.0 included), as ``omega_parts`` guarantees:
+    rounded ``+`` and ``*`` are monotone, so per draw the test is then
+    nondecreasing in g. A branchless bisection finds, per draw, the number
+    of grid points before the test turns true, evaluating the expression
+    above bit for bit at log2(G) grid points; ``bincount`` and ``cumsum``
+    turn those thresholds into the counts, those of summing the dense
+    (B, G) matrix of tests over draws.
     """
     size = tbar.size
-    falling = om1 < 0
     flip = np.zeros(om1.shape, dtype=np.intp)
     step = 1 << (size.bit_length() - 1)
     while step:
         probe = flip + (step - 1)
         hit = (om0 + om1 * tbar[np.minimum(probe, size - 1)]) + c >= t_obs
-        flip += step * ((probe < size) & (hit == falling))
+        flip += step * ((probe < size) & ~hit)
         step >>= 1
-    rising = np.bincount(flip[~falling], minlength=size + 1)
-    fallen = np.bincount(flip[falling], minlength=size + 1)
-    return np.count_nonzero(falling) + np.cumsum(rising[:size] - fallen[:size])
+    return np.cumsum(np.bincount(flip, minlength=size + 1)[:size])
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,9 +351,10 @@ def pvalue_bounds(
     """Bound the p-value curve for weak nulls on the average effect.
 
     For each candidate model, a single batch of simulated assignments
-    is reused across the whole grid and all heterogeneity corners; the
-    reported curves are the pointwise extrema of the Monte Carlo
-    exceedance counts, O(B log G + G) work per model and corner.
+    is reused across the whole grid. A draw's statistic rises with the
+    heterogeneity multiplier (see ``omega_parts``), so the -c1 and +c1
+    curves bound a model's p-values; the reported curves are their
+    extrema over the models, O(B log G + G) work per model and curve.
     """
     if statistic not in STATISTICS:
         raise StatisticNotLinear(statistic)
@@ -364,14 +362,13 @@ def pvalue_bounds(
     tbar = grid.values
     k_lo = np.full(tbar.shape, draws)
     k_hi = np.zeros(tbar.shape, dtype=np.intp)
+    eps = het.epsilon_corners()
     for l_index, model in enumerate(models.models):
         gen = rng.child(l_index).generator()
         om = draw_omegas(data, strata, model, statistic, draws, gen)
-        for eps3, eps4 in het.epsilon_corners():
-            c = eps3 * om[:, 2] + eps4 * om[:, 3]
-            k = _exceedance_counts(om[:, 0], om[:, 1], c, tbar, t_obs)
-            np.minimum(k_lo, k, out=k_lo)
-            np.maximum(k_hi, k, out=k_hi)
+        k = [_exceedance_counts(om[:, 0], om[:, 1], e * om[:, 1], tbar, t_obs) for e in eps]
+        np.minimum(k_lo, k[0], out=k_lo)
+        np.maximum(k_hi, k[-1], out=k_hi)
     return PValueBounds(
         grid=tbar,
         k_lo=k_lo,
@@ -387,8 +384,9 @@ def pvalue_bounds(
 def confidence_set(pvb: PValueBounds, alpha: float) -> np.ndarray:
     """Grid points retained at level alpha: upper p-value bound > alpha.
 
-    Retaining on the upper bound is the conservative inversion; the
-    result is a grid subset and is not forced to be an interval.
+    Retaining on the upper bound is the conservative inversion. Every
+    draw's slope is nonnegative, so the upper curve is nondecreasing in
+    the hypothesized effect and the result is a suffix of the grid.
     """
     if not (0.0 < alpha < 1.0):
         raise ConfigError("alpha must lie strictly between 0 and 1")

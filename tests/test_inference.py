@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo p-value bounds and their building blocks."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import spw
 from spw import inference
 from spw.data import Dataset, RngHandle, build_strata
 from spw.errors import ConfigError, StatisticNotLinear
-from spw.finite_sample import AssignmentModel, _scaled_weights, scaled_ate
+from spw.finite_sample import _CHUNK_CELLS, AssignmentModel, _scaled_weights, scaled_ate
 from spw.inference import (
     STATISTICS,
     HetBounds,
@@ -79,7 +80,7 @@ class TestOmegaParts:
         data, strata = _bigger_dataset(5)
         om = omega_parts(data, strata, data.w, statistic)[0]
         assert om[0] == observed_statistic(data, strata, statistic)
-        assert om[1] == om[2] == om[3] == 0.0
+        assert om[1] == 0.0
 
     @pytest.mark.parametrize("statistic", STATISTICS)
     def test_fixed_point_at_any_row_of_a_batch(self, statistic):
@@ -94,22 +95,25 @@ class TestOmegaParts:
             assert np.all(om[row, 1:] == 0.0)
 
     def test_positive_negative_split(self):
+        # The slope is its own positive part; its negative part is +0.0.
         data, strata = _bigger_dataset(7)
         rng = np.random.default_rng(0)
         w_sim = (rng.random((50, data.n)) < 0.5).astype(int)
         om = omega_parts(data, strata, w_sim, "t_hat")
-        np.testing.assert_allclose(om[:, 2] + om[:, 3], om[:, 1], atol=1e-12)
-        assert np.all(om[:, 2] >= 0) and np.all(om[:, 3] <= 0)
+        ref = _where_omegas(data, strata, w_sim, "t_hat")
+        assert om.shape == (50, 2) and np.all(om[:, 1] >= 0)
+        assert om[:, 1].tobytes() == ref[:, 2].tobytes()
+        assert np.all(ref[:, 3] == 0.0) and not np.any(np.signbit(ref[:, 3]))
 
     def test_exhaustive_two_unit_stratum(self):
         # All four assignment vectors, hand-evaluated T-hat weights.
         y1, y2 = 5.0, 3.0
         data, strata = _pair_dataset((y1, y2), (1, 0))
         cases = {
-            (1, 0): (0.5 * (y1 - y2), 0.0, 0.0, 0.0),
-            (0, 1): (0.5 * (y2 - y1), 1.0, 1.0, 0.0),
-            (1, 1): (0.0, 0.0, 0.0, 0.0),
-            (0, 0): (0.0, 0.0, 0.0, 0.0),
+            (1, 0): (0.5 * (y1 - y2), 0.0),
+            (0, 1): (0.5 * (y2 - y1), 1.0),
+            (1, 1): (0.0, 0.0),
+            (0, 0): (0.0, 0.0),
         }
         for sim, expected in cases.items():
             om = omega_parts(data, strata, np.array(sim), "t_hat")[0]
@@ -120,7 +124,7 @@ class TestOmegaParts:
         model = AssignmentModel.binary([0.3, 0.7])
         a = draw_omegas(data, strata, model, "t_hat", 40, RngHandle(3).generator())
         b = draw_omegas(data, strata, model, "t_hat", 40, RngHandle(3).generator())
-        assert a.shape == (40, 4)
+        assert a.shape == (40, 2)
         np.testing.assert_array_equal(a, b)
 
 
@@ -153,7 +157,7 @@ class TestBlockedDraws:
                 om = draw_omegas(data, strata, model, statistic, draws, RngHandle(seed).generator())
                 sim = RngHandle(seed).generator().random((draws, n)) < lam1
                 ref = omega_parts(data, strata, sim.astype(np.int64), statistic)
-                assert om.shape == (draws, 4)
+                assert om.shape == (draws, 2)
                 assert om.tobytes() == ref.tobytes(), (n, draws)
 
     def test_same_bytes_for_any_blas_thread_count(self):
@@ -260,7 +264,7 @@ class TestWeightTable:
             om = draw_omegas(data, strata, model, statistic, draws, RngHandle(seed).generator())
             sim = RngHandle(seed).generator().random((draws, data.n)) < 0.5
             ref = _where_omegas(data, strata, sim.astype(np.int64), statistic)
-            assert om.tobytes() == ref.tobytes()
+            assert om.tobytes() == ref[:, :2].tobytes()
 
     @pytest.mark.parametrize("statistic", STATISTICS)
     def test_slope_is_its_positive_part(self, statistic):
@@ -274,10 +278,8 @@ class TestWeightTable:
             assert not np.any(q * (block - data.w) / data.n < 0)
             om = omega_parts(data, strata, block, statistic)
             ref = _where_omegas(data, strata, block.astype(np.int64), statistic)
-            assert om[:, 2].tobytes() == om[:, 1].tobytes() == ref[:, 2].tobytes()
-            assert np.array_equal(np.signbit(om[:, 2]), np.signbit(ref[:, 2]))
-            assert np.all(om[:, 3] == 0.0) and not np.any(np.signbit(om[:, 3]))
-            assert not np.any(np.signbit(ref[:, 3]))
+            assert om[:, 1].tobytes() == ref[:, 1].tobytes() == ref[:, 2].tobytes()
+            assert np.all(ref[:, 3] == 0.0) and not np.any(np.signbit(ref[:, 3]))
 
     @pytest.mark.parametrize("w", [[1, 2, 0, 1], [0, -1, 1, 0]])
     def test_non_binary_assignment_rejected(self, w):
@@ -412,6 +414,23 @@ class TestPvalueBounds:
         with pytest.raises(ConfigError, match="crossed"):
             PValueBounds(k_lo=crossed, k_hi=pvb.k_hi, **fields)
 
+    @pytest.mark.parametrize("n_strata", [2, 4])
+    def test_model_with_wrong_number_of_strata_rejected(self, n_strata):
+        data = Dataset.from_arrays(
+            np.arange(9.0), [1, 0, 1, 0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 1, 1, 2, 2, 2],
+            treatments=(0, 1),
+        )
+        strata = build_strata(data)
+        model = AssignmentModel.binary(np.linspace(0.2, 0.8, n_strata))
+        message = f"assignment model has {n_strata} strata, the design 3"
+        with pytest.raises(ConfigError, match=message):
+            draw_omegas(data, strata, model, "t_hat", 10, RngHandle(0).generator())
+        with pytest.raises(ConfigError, match=message):
+            pvalue_bounds(
+                data, strata, "t_hat", NullGrid(np.array([0.0])),
+                ModelClass.single(model), HetBounds(0.0), 10, RngHandle(0),
+            )
+
     def test_statistic_validation(self):
         data, strata = _bigger_dataset(2)
         with pytest.raises(StatisticNotLinear):
@@ -434,15 +453,19 @@ def _dense_pvalues(om0, om1, c, tbar, t_obs):
 
 
 def _dense_bounds(data, strata, statistic, grid, models, het, draws, rng):
-    """Reference p-value curves: the dense per-model, per-corner loop."""
+    """Reference p-value curves: the dense per-model loop over the four
+    heterogeneity corners (eps3, eps4) of the slope's positive part
+    (omega2 itself) and negative part (+0.0)."""
     t_obs = observed_statistic(data, strata, statistic)
     tbar = grid.values
     p_lo = np.full(tbar.shape, np.inf)
     p_hi = np.full(tbar.shape, -np.inf)
+    corners = list(itertools.product((-het.c1, het.c1), repeat=2)) if het.c1 else [(0.0, 0.0)]
     for l_index, model in enumerate(models.models):
         gen = rng.child(l_index).generator()
         om = draw_omegas(data, strata, model, statistic, draws, gen)
-        for eps3, eps4 in het.epsilon_corners():
+        om = np.column_stack([om, om[:, 1], np.zeros(draws)])
+        for eps3, eps4 in corners:
             c = eps3 * om[:, 2] + eps4 * om[:, 3]
             p = _dense_pvalues(om[:, 0], om[:, 1], c, tbar, t_obs)
             p_lo = np.minimum(p_lo, p)
@@ -451,8 +474,9 @@ def _dense_bounds(data, strata, statistic, grid, models, het, draws, rng):
 
 
 def _adversarial_case(rng):
-    """Random omegas with zero, signed-zero and negative slopes, integer
-    values (ties at t_obs), and t_obs often one draw's own statistic."""
+    """Random omegas with nonnegative slopes, zero and -0.0 among them,
+    integer values (ties at t_obs), and t_obs often one draw's own
+    statistic."""
     draws = int(rng.choice([1, 2, 5, 40, 257]))
     size = int(rng.choice([1, 2, 3, 17, 101]))
     if rng.random() < 0.5:
@@ -461,6 +485,7 @@ def _adversarial_case(rng):
     else:
         om = rng.normal(size=(draws, 4)) * 10.0 ** rng.uniform(-3, 3)
         tbar = np.unique(rng.normal(size=size) * 10.0 ** rng.uniform(-2, 2))
+    om[:, 1] = np.abs(om[:, 1])
     om[rng.random(draws) < 0.2, 1] = 0.0
     om[rng.random(draws) < 0.2, 1] = -0.0
     eps3, eps4 = rng.choice([-0.5, 0.0, 0.5], 2)
@@ -485,14 +510,14 @@ class TestExceedanceCountsMatchDense:
                 om0, om1, c, tbar, t_obs
             ).tobytes()
 
-    def test_zero_signed_zero_and_negative_slopes(self):
-        om0 = np.array([1.0, 1.0, -1.0, 2.0, 0.0, 0.0])
-        om1 = np.array([0.0, -0.0, -0.0, -1.0, 1.0, -2.0])
+    def test_zero_and_signed_zero_slopes(self):
+        om0 = np.array([1.0, 1.0, -1.0, 0.0, -0.0, -2.0])
+        om1 = np.array([0.0, -0.0, -0.0, 1.0, -0.0, 1.0])
         c = np.zeros(6)
         tbar = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         counts = _exceedance_counts(om0, om1, c, tbar, 0.0)
-        # constant, constant, never, t <= 2, t >= 0, t <= 0
-        np.testing.assert_array_equal(counts, [4, 4, 5, 4, 4])
+        # always, always, never, t >= 0, always (-0.0 >= 0), t >= 2
+        np.testing.assert_array_equal(counts, [3, 3, 4, 4, 5])
         assert (counts / 6).tobytes() == _dense_pvalues(om0, om1, c, tbar, 0.0).tobytes()
 
     @pytest.mark.parametrize("draws,size", [(1, 1), (1, 7), (9, 1)])
@@ -500,6 +525,7 @@ class TestExceedanceCountsMatchDense:
         rng = np.random.default_rng(draws * 10 + size)
         for _ in range(50):
             om = rng.integers(-2, 3, (draws, 3)).astype(float)
+            om[:, 1] = np.abs(om[:, 1])
             tbar = np.unique(rng.integers(-3, 4, size).astype(float))
             t_obs = float(rng.integers(-2, 3))
             got = _exceedance_counts(om[:, 0], om[:, 1], om[:, 2], tbar, t_obs) / draws
@@ -531,6 +557,64 @@ class TestExceedanceCountsMatchDense:
         p_lo, p_hi = _dense_bounds(*args)
         assert pvb.p_lo.tobytes() == p_lo.tobytes()
         assert pvb.p_hi.tobytes() == p_hi.tobytes()
+
+
+def _enumerated_pvalues(data, strata, model, statistic, eps, tbar, t_obs):
+    """Exact p-values over all 2^n assignments, each weighted by its
+    product of lambda or 1 - lambda, with ``_exceedance_counts``' test."""
+    n = data.n
+    lam1 = model.lam[strata.labels, 1]
+    codes = np.arange(2**n)
+    rows = _CHUNK_CELLS // n
+    p = np.zeros(tbar.size)
+    for start in range(0, codes.size, rows):
+        block = (codes[start : start + rows, None] >> np.arange(n) & 1).astype(bool)
+        prob = np.where(block, lam1, 1.0 - lam1).prod(axis=1)
+        om = omega_parts(data, strata, block, statistic)
+        p += prob @ ((om[:, :1] + om[:, 1:] * tbar) + eps * om[:, 1:] >= t_obs)
+    return np.clip(p, 0.0, 1.0)
+
+
+class TestEnumerationOracle:
+    def test_curves_are_binomial_around_exact_pvalues(self):
+        # Each curve of a single model is a Binomial(B, p(T)) count, with
+        # p(T) enumerated exactly at eps = -c1 (lower) and +c1 (upper).
+        # The same check against lambda + 0.05 must fail somewhere.
+        rng = np.random.default_rng(0)
+        draws = 4000
+        tbar = NullGrid.from_range(-8.0, 12.0, 0.5).values
+        shifted_excess = -np.inf
+        designs = [(6, 1, False), (9, 2, True), (12, 3, False), (10, 3, True), (12, 2, True)]
+        for n, k_n, tied in designs:
+            x = np.concatenate([np.arange(k_n).repeat(2), rng.integers(0, k_n, n - 2 * k_n)])
+            rng.shuffle(x)
+            w = (rng.random(n) < 0.5).astype(np.int64)
+            y = rng.normal(1.0, 3.0, n) + 2.0 * w
+            data = Dataset.from_arrays(np.round(y) if tied else y, w, x, treatments=(0, 1))
+            strata = build_strata(data)
+            lam = rng.uniform(0.15, 0.8, k_n)
+            model = AssignmentModel.binary(lam)
+            for statistic in STATISTICS:
+                t_obs = observed_statistic(data, strata, statistic)
+                for c1 in (0.0, 0.5):
+                    pvb = pvalue_bounds(
+                        data, strata, statistic, NullGrid(tbar), ModelClass.single(model),
+                        HetBounds(c1), draws, RngHandle(int(rng.integers(2**32))),
+                    )
+                    for k, eps in ((pvb.k_lo, -c1), (pvb.k_hi, c1)):
+                        for lam_model, exact in ((lam, True), (lam + 0.05, False)):
+                            p = _enumerated_pvalues(
+                                data, strata, AssignmentModel.binary(lam_model),
+                                statistic, eps, tbar, t_obs,
+                            )
+                            excess = np.abs(k - draws * p) - (
+                                5.0 * np.sqrt(draws * p * (1.0 - p)) + 1.0
+                            )
+                            if exact:
+                                assert np.all(excess <= 0), (n, statistic, c1, eps)
+                            else:
+                                shifted_excess = max(shifted_excess, excess.max())
+        assert shifted_excess > 0
 
 
 class TestSamplingProperties:
@@ -588,6 +672,29 @@ class TestSamplingProperties:
 
 
 class TestConfidenceSet:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("c1", [0.0, 0.5])
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_curves_rise_and_set_is_a_ray(self, statistic, c1, tied):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            data, strata, _ = _design(rng, int(rng.integers(8, 60)), tied)
+            models = ModelClass(
+                tuple(
+                    AssignmentModel.binary(rng.uniform(0.1, 0.9, strata.n_strata))
+                    for _ in range(3)
+                )
+            )
+            grid = NullGrid.from_range(-10.0, 14.0, 0.25)
+            pvb = pvalue_bounds(
+                data, strata, statistic, grid, models, HetBounds(c1), 300,
+                RngHandle(int(rng.integers(2**32))),
+            )
+            assert np.all(np.diff(pvb.k_lo) >= 0) and np.all(np.diff(pvb.k_hi) >= 0)
+            for alpha in (0.01, 0.05, 0.2, 0.5):
+                kept = confidence_set(pvb, alpha)
+                assert np.array_equal(kept, grid.values[grid.values.size - kept.size :])
+
     def test_everything_retained_when_p_is_one(self):
         data, strata = _pair_dataset((0.0, 0.0), (1, 0))
         grid = NullGrid.from_range(-1.0, 1.0, 0.5)
@@ -677,8 +784,8 @@ class TestHetAndGrid:
         assert NullGrid.from_range(1.0, 1e6, 1.0).values.size == 10**6
 
     def test_corners(self):
-        assert HetBounds(0.0).epsilon_corners() == ((0.0, 0.0),)
-        assert len(HetBounds(1.0).epsilon_corners()) == 4
+        assert HetBounds(0.0).epsilon_corners() == (0.0,)
+        assert HetBounds(1.0).epsilon_corners() == (-1.0, 1.0)
 
     def test_grid_sorted_dedup(self):
         grid = NullGrid(np.array([3.0, 1.0, 1.0, 2.0]))

@@ -273,6 +273,10 @@ def draw_omegas(
     if draws > DRAW_LIMIT:
         raise ConfigError(f"{draws} Monte Carlo draws requested (limit {DRAW_LIMIT})")
     _require_strata(model, strata)
+    if tuple(model.treatments) != (0, 1):
+        raise ConfigError(
+            f"draws need a model of treatments (0, 1), in that order; got {model.treatments}"
+        )
     lam1 = model.lam[strata.labels, 1]
     rows = max(1, _BLOCK_CELLS // data.n)
     om = np.empty((draws, 2))

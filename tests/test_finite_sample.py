@@ -14,7 +14,6 @@ from spw.finite_sample import (
     AssignmentModel,
     FsConfig,
     SetEstimate,
-    _Accumulator,
     _fpw_ends,
     _ipw_fs,
     _scaled,
@@ -459,6 +458,24 @@ class TestSetEstimate:
         assert SetEstimate(1.0, 3.0).midpoint == 2.0
 
 
+class TestDatasetMustMatchStrata:
+    ESTIMATORS = {
+        "shrinkage_mean": lambda d, s: shrinkage_mean(d, s, 1, 0),
+        "scaled_ate": lambda d, s: scaled_ate(d, s, 1, 0),
+        "fpw_set": lambda d, s: fpw_set(d, s, ATE_CFG),
+        "wmd_estimate": lambda d, s: wmd_estimate(d, s, ATE_CFG),
+        "ipw_fs_estimate": lambda d, s: ipw_fs_estimate(d, s, ATE_CFG),
+    }
+
+    @pytest.mark.parametrize("n", [5, 7], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_other_number_of_units_rejected(self, name, n):
+        _, strata = _make([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 1, 1])
+        other, _ = _make(np.arange(float(n)), np.arange(n) // 2 % 2, np.arange(n) % 2)
+        with pytest.raises(ConfigError, match=f"dataset has {n} units, the strata index 6"):
+            self.ESTIMATORS[name](other, strata)
+
+
 # ---------------------------------------------------------------------------
 # Loop reference: the per-unit implementations that the vectorised
 # finite-sample layer replaced. Every float must match them exactly.
@@ -607,6 +624,26 @@ def _random_design(rng):
     return (y, w, x), cfg, pool
 
 
+def _edge_case(rng, kind, y, w, x):
+    """Turn a random design's (y, w, x) into one of four edge cases:
+    all-negative outcomes, outcomes with signed zeros (every one -0.0 at
+    times), a single stratum, or both arms in every stratum (nothing
+    vacant). Every row of a block (R, n) is changed alike."""
+    y, w, x = y.copy(), w.copy(), x.copy()
+    if kind == 0:
+        y = -np.abs(y)
+    elif kind == 1:
+        y[rng.random(y.shape) < (1.0 if rng.random() < 0.3 else 0.5)] = -0.0
+    elif kind == 2:
+        x[:] = 0
+        y[rng.random(y.shape) < 0.5] = -0.0
+    else:
+        for k in np.unique(x):
+            first, second = np.flatnonzero(x == k)[:2]
+            w[..., first], w[..., second] = 0, 1
+    return y, w, x
+
+
 def _designs():
     dgp = FiniteSampleDgp(n=50, lam1=0.02)
     for seed in range(10):
@@ -616,6 +653,17 @@ def _designs():
     for i in range(300):
         (y, w, x), cfg, pool = _random_design(rng)
         yield f"random{i}", Dataset.from_arrays(y, w, x, treatments=(0, 1)), cfg, pool
+    for i in range(200):
+        (y, w, x), cfg, pool = _random_design(rng)
+        y, w, x = _edge_case(rng, i % 4, y, w, x)
+        if np.unique(x).size == 1:
+            pool = None
+        yield f"edge{i}", Dataset.from_arrays(y, w, x, treatments=(0, 1)), cfg, pool
+
+
+def _bits(*values):
+    """The bytes of each float: unlike ``==``, tells -0.0 from +0.0."""
+    return [np.float64(v).tobytes() for v in values]
 
 
 class TestCollapseMatchesLoopReference:
@@ -624,12 +672,13 @@ class TestCollapseMatchesLoopReference:
     def test_every_float_equals_the_loop_reference(self):
         for name, data, cfg, pool in _designs():
             strata = build_strata(data)
+            k_n = strata.n_strata
             for w in (0, 1):
                 m_w = _ref_treated_counts(data, strata, w)
                 assert np.array_equal(strata.count(data.w == w), m_w), name
-                for k in range(strata.n_strata):
+                for k in range(-k_n, k_n):
                     ref = _ref_shrinkage_mean(data, strata, w, k)
-                    assert shrinkage_mean(data, strata, w, k) == ref, name
+                    assert _bits(shrinkage_mean(data, strata, w, k)) == _bits(ref), (name, k)
             est = fpw_set(data, strata, cfg, pool_weights=pool)
             ref_per_w = {
                 w: tuple(
@@ -638,12 +687,15 @@ class TestCollapseMatchesLoopReference:
                 for w in (0, 1)
             }
             for w in (0, 1):
-                assert (est.per_w[w].lo, est.per_w[w].hi) == ref_per_w[w], name
+                assert _bits(est.per_w[w].lo, est.per_w[w].hi) == _bits(*ref_per_w[w]), name
             ref = _ref_fpw_interval(data, strata, cfg, ref_per_w)
-            assert (est.interval.lo, est.interval.hi) == ref, name
-            assert wmd_estimate(data, strata, cfg) == _ref_wmd_estimate(data, strata, cfg), name
-            assert ipw_fs_estimate(data, strata, cfg) == _ref_ipw_fs_estimate(data, strata, cfg)
-            assert scaled_ate(data, strata, 1, 0) == _ref_scaled_ate(data, strata, 1, 0), name
+            assert _bits(est.interval.lo, est.interval.hi) == _bits(*ref), name
+            for got, ref in [
+                (wmd_estimate(data, strata, cfg), _ref_wmd_estimate(data, strata, cfg)),
+                (ipw_fs_estimate(data, strata, cfg), _ref_ipw_fs_estimate(data, strata, cfg)),
+                (scaled_ate(data, strata, 1, 0), _ref_scaled_ate(data, strata, 1, 0)),
+            ]:
+                assert _bits(got) == _bits(ref), name
 
     def test_batched_counts_and_statistic_weights(self):
         rng = np.random.default_rng(7)
@@ -668,6 +720,27 @@ class TestCollapseMatchesLoopReference:
 # Loop reference: the per-assignment enumeration that the chunked one
 # replaced. Every result, and every call to the statistic, must match it.
 # ---------------------------------------------------------------------------
+
+
+class _Accumulator:
+    """Neumaier compensated accumulator; deterministic and near-exact."""
+
+    __slots__ = ("total", "comp")
+
+    def __init__(self):
+        self.total = 0.0
+        self.comp = 0.0
+
+    def add(self, value: float) -> None:
+        t = self.total + value
+        if abs(self.total) >= abs(value):
+            self.comp += (self.total - t) + value
+        else:
+            self.comp += (value - t) + self.total
+        self.total = t
+
+    def value(self) -> float:
+        return self.total + self.comp
 
 
 def _ref_enumerate_expectation(statistic, potential_outcomes, model, strata):
@@ -755,13 +828,17 @@ class TestChunkedEnumerationMatchesLoopReference:
 class TestBlockKernelsMatchOneAssignment:
     def test_every_row_equals_the_wrapper(self):
         rng = np.random.default_rng(20262)
-        for case in range(60):
+        for case in range(120):
             (y, w, x), cfg, pool = _random_design(rng)
             rows = int(rng.integers(1, 30))
             lam1 = rng.choice([0.05, 0.5, 0.95], x.size)
             w_block = (rng.random((rows, x.size)) < lam1).astype(np.int64)
             y_block = rng.normal(0.0, 10.0, (rows, x.size)) * rng.choice([1e-3, 1.0, 1e3])
-            strata = build_strata(Dataset.from_arrays(y, w, x, treatments=(0, 1)))
+            if case >= 60:
+                y_block, w_block, x = _edge_case(rng, case % 4, y_block, w_block, x)
+                if np.unique(x).size == 1:
+                    pool = None
+            strata = build_strata(Dataset.from_arrays(y_block[0], w_block[0], x, treatments=(0, 1)))
             lo, hi, per_w = _fpw_ends(y_block, w_block, strata, cfg, pool)
             wmd = _wmd(y_block, w_block, strata, cfg)
             ipw = _ipw_fs(y_block, w_block, strata, cfg)
@@ -771,11 +848,13 @@ class TestBlockKernelsMatchOneAssignment:
                 one = Dataset.from_arrays(y_block[r], w_block[r], x, treatments=(0, 1))
                 where = (case, r)
                 est = fpw_set(one, strata, cfg, pool_weights=pool)
-                assert (lo[r], hi[r]) == (est.interval.lo, est.interval.hi), where
+                assert _bits(lo[r], hi[r]) == _bits(est.interval.lo, est.interval.hi), where
                 for arm, (arm_lo, arm_hi) in per_w.items():
-                    assert (arm_lo[r], arm_hi[r]) == (est.per_w[arm].lo, est.per_w[arm].hi)
-                    for k in range(strata.n_strata):
-                        assert means[arm][r, k] == shrinkage_mean(one, strata, arm, k), where
-                assert wmd[r] == wmd_estimate(one, strata, cfg), where
-                assert ipw[r] == ipw_fs_estimate(one, strata, cfg), where
-                assert scaled[r] == scaled_ate(one, strata, 1, 0), where
+                    ends = _bits(est.per_w[arm].lo, est.per_w[arm].hi)
+                    assert _bits(arm_lo[r], arm_hi[r]) == ends, where
+                    for k in range(-strata.n_strata, strata.n_strata):
+                        mean = shrinkage_mean(one, strata, arm, k)
+                        assert _bits(means[arm][r, k]) == _bits(mean), (where, k)
+                assert _bits(wmd[r]) == _bits(wmd_estimate(one, strata, cfg)), where
+                assert _bits(ipw[r]) == _bits(ipw_fs_estimate(one, strata, cfg)), where
+                assert _bits(scaled[r]) == _bits(scaled_ate(one, strata, 1, 0)), where

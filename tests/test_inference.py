@@ -431,6 +431,28 @@ class TestPvalueBounds:
                 ModelClass.single(model), HetBounds(0.0), 10, RngHandle(0),
             )
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            AssignmentModel(np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]), treatments=(0, 1, 2)),
+            AssignmentModel(np.array([[0.7, 0.3], [0.4, 0.6]]), treatments=(1, 0)),
+        ],
+        ids=["three_arms", "reversed"],
+    )
+    def test_model_not_of_treatments_zero_one_rejected(self, model):
+        # Column 1 of lam is read as the treated probability.
+        data = Dataset.from_arrays(
+            np.arange(8.0), [1, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, 0, 1, 1, 1, 1], treatments=(0, 1)
+        )
+        strata = build_strata(data)
+        with pytest.raises(ConfigError, match=r"treatments \(0, 1\)"):
+            draw_omegas(data, strata, model, "t_hat", 10, RngHandle(0).generator())
+        with pytest.raises(ConfigError, match=r"treatments \(0, 1\)"):
+            pvalue_bounds(
+                data, strata, "t_hat", NullGrid(np.array([0.0])),
+                ModelClass.single(model), HetBounds(0.0), 10, RngHandle(0),
+            )
+
     def test_statistic_validation(self):
         data, strata = _bigger_dataset(2)
         with pytest.raises(StatisticNotLinear):

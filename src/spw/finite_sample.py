@@ -226,6 +226,9 @@ def _pooled_ends(
     is ``np.mean``'s order: one add.reduce per row. With K = 1 each endpoint
     keeps its own pass: a bound t < 0 imputes t * 0.0 = -0.0, and
     base + -0.0 keeps a -0.0 term that base + 0.0 would turn to +0.0.
+    With K = 2 a vacant stratum's units take the other stratum's mu_hat
+    times its one pooling weight, in one pass over every row; K >= 3
+    keeps a loop over (row, vacant stratum), whose dot rounds as ``ddot``.
     """
     n = strata.labels.shape[0]
     k_n = strata.n_strata
@@ -235,23 +238,36 @@ def _pooled_ends(
         point = np.add.reduce(base + 0.0, -1) / n
         return [point, point]
     mu_tilde = _stratum_sums(strata, base) / counts
-    vacant = (m_w == 0).astype(float)
+    is_vacant = m_w == 0
+    vacant = is_vacant.astype(float)
 
-    # (row index, vacant stratum, the other strata, their pooling weights);
-    # the row index is () on one assignment and (r,) on a block.
+    def weights_for(k: int, others: list[int]) -> np.ndarray:
+        """The pooling weights of the other strata, for vacant stratum k."""
+        if pool_weights is None:
+            return counts[others] / (n - counts[k])
+        weights = np.array([pool_weights(arm, j, k) for j in others], dtype=float)
+        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+            raise ConfigError("pooling weights must be nonnegative and sum to 1")
+        return weights
+
+    # With K = 2 a stratum's one pooling weight is counts[other] /
+    # counts[other] = 1.0 by default, so only custom weights, asked for the
+    # strata vacant in some row, are multiplied in.
+    factor = None
+    if k_n == 2 and pool_weights is not None:
+        factor = np.array(
+            [weights_for(k, [1 - k])[0] if is_vacant[..., k].any() else 1.0 for k in range(2)]
+        )
+    # With K >= 3: (row index, vacant stratum, the other strata, their
+    # pooling weights); the row index is () on one assignment and (r,) on
+    # a block.
     pools = []
-    if k_n > 1:
+    if k_n > 2:
         pooled = {}
         for *row, k in zip(*[index.tolist() for index in vacant.nonzero()]):
             if k not in pooled:
                 others = [j for j in range(k_n) if j != k]
-                if pool_weights is None:
-                    weights = counts[others] / (n - counts[k])
-                else:
-                    weights = np.array([pool_weights(arm, j, k) for j in others], dtype=float)
-                    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-                        raise ConfigError("pooling weights must be nonnegative and sum to 1")
-                pooled[k] = others, weights
+                pooled[k] = others, weights_for(k, others)
             pools.append((tuple(row), k, *pooled[k]))
 
     # Each endpoint is mean(base + imputed), not intercept + t * slope:
@@ -261,6 +277,15 @@ def _pooled_ends(
     for t in bounds:
         if k_n == 1:
             imputed = t * vacant.take(strata.labels, axis=-1)
+        elif k_n == 2:
+            # At K = 2 the loop's ``weights @ mu_hat`` has length 1, so it is
+            # this one multiply, and the other stratum's mu_hat is never -0.0
+            # (bincount sums start from +0.0): one gather by labels gives the
+            # loop's bytes.
+            other = (mu_tilde + t * vacant)[..., ::-1]
+            if factor is not None:
+                other = factor * other
+            imputed = np.where(is_vacant, other, 0.0)[..., strata.labels]
         else:
             mu_hat = mu_tilde + t * vacant
             imputed = np.zeros(base.shape)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,11 +63,13 @@ def _check_sample_size(n: int) -> None:
 
 @dataclass(frozen=True)
 class LargeSampleDgp:
-    """X ~ Uniform(0,1), W ~ Bernoulli(X^4), and a linear effect 3 - 2X.
+    """X ~ Uniform(0,1), W ~ Bernoulli(X^4), and a linear effect
+    beta0 + beta1 X, by default 3 - 2X.
 
     Outcomes: Y = 10 (1 - X^4) + X^4 u1 + W (tau(X) + 2 u2) with
-    (u1, u2) uniform on (-2, 2)^2, so the average effect is 2 and the
-    propensity has severe one-sided limited overlap near X = 0.
+    (u1, u2) uniform on (-2, 2)^2, so the average effect is
+    beta0 + beta1 / 2 (2 at the default beta) and the propensity has
+    severe one-sided limited overlap near X = 0.
     """
 
     n: int = 2000
@@ -78,8 +81,19 @@ class LargeSampleDgp:
         if self.n <= 2:
             raise ConfigError("sample size must exceed the basis dimension (2)")
         _check_sample_size(self.n)
+        # A finite |beta0| + |beta1| bounds tau(X) on [0, 1), so every
+        # outcome generate draws is finite.
+        try:
+            b0, b1 = (float(b) for b in self.beta)
+        except (TypeError, ValueError):
+            raise ConfigError("beta must be two numbers") from None
+        if not math.isfinite(abs(b0) + abs(b1)):
+            raise ConfigError("beta must be finite, with a finite |beta0| + |beta1|")
 
     def generate(self, rng: np.random.Generator) -> Dataset:
+        """One replication's Dataset, built directly: its arrays are valid
+        by construction (w in {0, 1}; y, x and e finite), so the
+        treatments are the observed labels, as ``from_arrays`` declares."""
         x = rng.uniform(0.0, 1.0, self.n)
         e = x**4
         w = (rng.random(self.n) < e).astype(np.int64)
@@ -87,14 +101,18 @@ class LargeSampleDgp:
         u2 = rng.uniform(-2.0, 2.0, self.n)
         tau = self.beta[0] + self.beta[1] * x
         y = 10.0 * (1.0 - e) + e * u1 + w * (tau + 2.0 * u2)
-        return Dataset.from_arrays(y, w, x, mode="large", propensity=e)
+        for arr in (y, w, x, e):
+            arr.flags.writeable = False
+        treated = int(np.count_nonzero(w))
+        observed = tuple(t for t, m in ((0, self.n - treated), (1, treated)) if m)
+        return Dataset(y=y, w=w, x=x, treatments=observed, mode="large", propensity=e)
 
     def study_estimators(self) -> StudyTable:
         """npw (nu = 1, with 95% Wald coverage indicators per coefficient)
         and ipw (nu = -1) on the linear basis: coefficients and the
-        average effect, whose truths are beta and 2."""
+        average effect, whose truths are beta and beta0 + beta1 / 2."""
         basis = BasisSpec.linear()
-        truth = {"b0": self.beta[0], "b1": self.beta[1], "ate": 2.0}
+        truth = {"b0": self.beta[0], "b1": self.beta[1], "ate": self.beta[0] + self.beta[1] / 2}
 
         def fit(data: Dataset, nu: float, cover: bool) -> dict[str, float]:
             res = gpw_estimate(data, None, basis, nu=nu)
@@ -148,15 +166,30 @@ class FiniteSampleDgp:
     def fs_config(self) -> FsConfig:
         return FsConfig(bounds=self.response_bounds(), kappa={0: -1.0, 1: 1.0})
 
-    def generate(self, rng: np.random.Generator) -> Dataset:
+    @cached_property
+    def _design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What every replication shares: the read-only stratum codes x
+        and their labels, each unit's lambda, and the outcome
+        coefficients a = 2 (1 + X) and b = 1 + 2X."""
         idx = np.arange(1, self.n + 1)
         x = (idx > 0.8 * self.n).astype(np.int64)
+        labels = np.array([0, 1], dtype=np.int64)
+        for arr in (x, labels):
+            arr.flags.writeable = False
         lam = np.where(x == 1, 1.0 - self.lam1, self.lam1)
+        return x, labels, lam, 2.0 * (1.0 + x), 1.0 + 2.0 * x
+
+    def generate(self, rng: np.random.Generator) -> Dataset:
+        """One replication's Dataset, built directly: w is in {0, 1}, y is
+        finite, and every replication shares one x with both strata."""
+        x, labels, lam, a, b = self._design
         w = (rng.random(self.n) < lam).astype(np.int64)
         u1 = rng.uniform(-1.0, 1.0, self.n)
         u2 = rng.uniform(-1.0, 1.0, self.n)
-        y = 10.0 + 2.0 * (1.0 + x) * u1 + w * (10.0 + (1.0 + 2.0 * x) * u2)
-        return Dataset.from_arrays(y, w, x, mode="finite", treatments=(0, 1))
+        y = 10.0 + a * u1 + w * (10.0 + b * u2)
+        for arr in (y, w):
+            arr.flags.writeable = False
+        return Dataset(y=y, w=w, x=x, treatments=(0, 1), mode="finite", x_labels=labels)
 
     def study_estimators(self) -> StudyTable:
         """The pooled set-estimator (its midpoint, bounds and an interval
@@ -277,7 +310,9 @@ def run_study(
             stop = min(start + max(1, _BLOCK_CELLS // block[0].n), reps)
             block += [dgp.generate(handle.child(r).generator()) for r in range(start + 1, stop)]
         stacked = None
-        if batched and all(np.array_equal(data.x, shared[0]) for data in block):
+        if batched and all(
+            data.x is shared[0] or np.array_equal(data.x, shared[0]) for data in block
+        ):
             stacked = np.stack([d.y for d in block]), np.stack([d.w for d in block]), shared[1]
         for name, est in estimators.items():
             if stacked is not None:

@@ -659,6 +659,30 @@ def _designs():
         if np.unique(x).size == 1:
             pool = None
         yield f"edge{i}", Dataset.from_arrays(y, w, x, treatments=(0, 1)), cfg, pool
+    yield from _two_strata_vacancies(rng)
+
+
+def _two_strata_vacancies(rng):
+    """K = 2 designs in which stratum k is vacant in the arm, for every
+    (arm, k): with default pooling and with one custom weight a little off
+    1.0 (within the 1e-9 tolerance), so the imputed value is a true
+    multiply; with all-negative, mixed and positive bounds."""
+    configs = [
+        FsConfig.binary_ate(-7.5, -1.25, -30.0, -2.0),
+        FsConfig.binary_ate(-3.0, 4.0, -0.5, 2.5),
+        FsConfig.binary_ate(6.0, 14.0, 13.0, 27.0),
+    ]
+    pools = [None, lambda arm, j, k: 1.0 - 4e-10, lambda arm, j, k: 1.0 + 4e-10]
+    for arm, k, (c, cfg), (p, pool) in itertools.product(
+        (0, 1), (0, 1), enumerate(configs), enumerate(pools)
+    ):
+        x = np.repeat([0, 1], [3, 4])
+        w = np.array([0, 1, 1, 0, 1, 0, 1])
+        w[x == k] = 1 - arm
+        y = rng.normal(0.0, 10.0, x.size) * rng.choice([1e-3, 1.0, 1e3])
+        y[rng.random(x.size) < 0.3] = -0.0
+        data = Dataset.from_arrays(y, w, x, treatments=(0, 1))
+        yield f"vacant{arm}{k}_{c}{p}", data, cfg, pool
 
 
 def _bits(*values):
@@ -668,6 +692,22 @@ def _bits(*values):
 
 class TestCollapseMatchesLoopReference:
     """The vectorised finite-sample layer against the loops it replaced."""
+
+    def test_designs_cover_two_strata_vacancies(self):
+        # The K = 2 imputation has its own one-pass form; the designs must
+        # leave each stratum vacant in each arm, under negative bounds and
+        # under custom weights other than 1.0.
+        seen = set()
+        for name, data, cfg, pool in _designs():
+            strata = build_strata(data)
+            if strata.n_strata != 2:
+                continue
+            custom = pool is not None and pool(0, 1, 0) != 1.0
+            for arm in (0, 1):
+                negative = min(cfg.bound_for(arm)) < 0
+                for k in np.flatnonzero(strata.count(data.w == arm) == 0).tolist():
+                    seen.add((arm, k, negative, custom))
+        assert seen == set(itertools.product((0, 1), (0, 1), (False, True), (False, True)))
 
     def test_every_float_equals_the_loop_reference(self):
         for name, data, cfg, pool in _designs():
@@ -858,3 +898,23 @@ class TestBlockKernelsMatchOneAssignment:
                 assert _bits(wmd[r]) == _bits(wmd_estimate(one, strata, cfg)), where
                 assert _bits(ipw[r]) == _bits(ipw_fs_estimate(one, strata, cfg)), where
                 assert _bits(scaled[r]) == _bits(scaled_ate(one, strata, 1, 0)), where
+
+    def test_two_strata_pooling_equals_the_wrapper(self):
+        # Rows that leave either stratum, both or neither vacant in an arm,
+        # pooled with a custom weight other than 1.0 as well as by default.
+        rng = np.random.default_rng(20264)
+        x = np.repeat([0, 1], [4, 3])
+        cfg = FsConfig.binary_ate(-7.5, -1.25, -3.0, 2.0)
+        for pool in (None, lambda arm, j, k: 1.0 - 4e-10, lambda arm, j, k: 1.0 + 4e-10):
+            lam1 = rng.choice([0.02, 0.5, 0.98], (200, 2))[:, x]
+            w_block = (rng.random(lam1.shape) < lam1).astype(np.int64)
+            y_block = rng.normal(0.0, 10.0, w_block.shape)
+            strata = build_strata(Dataset.from_arrays(y_block[0], w_block[0], x, treatments=(0, 1)))
+            lo, hi, per_w = _fpw_ends(y_block, w_block, strata, cfg, pool)
+            for r in range(len(w_block)):
+                one = Dataset.from_arrays(y_block[r], w_block[r], x, treatments=(0, 1))
+                est = fpw_set(one, strata, cfg, pool_weights=pool)
+                assert _bits(lo[r], hi[r]) == _bits(est.interval.lo, est.interval.hi), r
+                for arm, (arm_lo, arm_hi) in per_w.items():
+                    ends = _bits(est.per_w[arm].lo, est.per_w[arm].hi)
+                    assert _bits(arm_lo[r], arm_hi[r]) == ends, (arm, r)

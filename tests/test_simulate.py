@@ -45,6 +45,77 @@ class TestLargeSampleDgp:
         data = LargeSampleDgp(n=100).generate(RngHandle(4).generator())
         assert data.mode == "large" and data.treatments == (0, 1)
 
+    @pytest.mark.parametrize("beta", [(math.nan, 0.0), (math.inf, 0.0), (1e308, 1e308), (1.0,)])
+    def test_beta_must_be_two_finite_numbers(self, beta):
+        # generate does not validate its outcomes, so a beta that could
+        # make them non-finite is refused up front.
+        with pytest.raises(ConfigError, match="beta"):
+            LargeSampleDgp(n=50, beta=beta)
+
+
+def _assert_same_dataset(got, ref):
+    """Every field of two Datasets: values, dtypes and read-only flags."""
+    assert (got.treatments, got.mode) == (ref.treatments, ref.mode)
+    for field in ("y", "w", "x", "x_labels", "propensity"):
+        a, b = getattr(got, field), getattr(ref, field)
+        if b is None:
+            assert a is None, field
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+        assert a.flags.writeable is b.flags.writeable is False, field
+
+
+class TestGenerateBuildsValidDatasets:
+    """Both DGPs build their Dataset without ``from_arrays``; it must be the
+    one ``from_arrays`` would build from the same arrays."""
+
+    @pytest.mark.parametrize(
+        "dgp",
+        [FiniteSampleDgp(n=10, lam1=0.3), FiniteSampleDgp(n=50), FiniteSampleDgp(n=500, lam1=0.9)]
+        + [LargeSampleDgp(n=n) for n in (3, 50, 2000)]
+        + [LargeSampleDgp(n=40, beta=(1.0, 1.0))],
+        ids=repr,
+    )
+    def test_equals_from_arrays(self, dgp):
+        for seed in range(6):
+            data = dgp.generate(RngHandle(seed).child(1).generator())
+            x = data.x if data.mode == "large" else data.x_labels[data.x]
+            ref = Dataset.from_arrays(
+                data.y,
+                data.w,
+                x,
+                mode=data.mode,
+                treatments=(0, 1) if data.mode == "finite" else None,
+                propensity=data.propensity,
+            )
+            _assert_same_dataset(data, ref)
+
+    def test_one_armed_large_draws_declare_the_observed_label(self):
+        # At n = 3 a draw is all-control with probability about 0.8^3.
+        dgp = LargeSampleDgp(n=3)
+        found = {}
+        for seed in range(2000):
+            data = dgp.generate(RngHandle(seed).generator())
+            found.setdefault(data.treatments, data)
+            if {(0,), (1,)} <= set(found):
+                break
+        assert {(0,), (1,), (0, 1)} <= set(found)
+        for treatments, data in found.items():
+            ref = Dataset.from_arrays(
+                data.y, data.w, data.x, mode="large", propensity=data.propensity
+            )
+            assert ref.treatments == treatments
+            _assert_same_dataset(data, ref)
+
+    def test_finite_replications_share_one_read_only_x(self):
+        dgp = FiniteSampleDgp(n=50)
+        a, b = (dgp.generate(RngHandle(3).child(r).generator()) for r in range(2))
+        assert a.x is b.x and a.x_labels is b.x_labels
+        assert a.y is not b.y and a.w is not b.w
+        with pytest.raises(ValueError):
+            a.x[0] = 1
+
 
 class TestFiniteSampleDgp:
     def test_stratum_sizes(self):
@@ -98,6 +169,12 @@ class TestStudyTable:
         table = LargeSampleDgp().study_estimators()
         for name in ("npw", "ipw"):
             assert table[name][1] == {"b0": 3.0, "b1": -2.0, "ate": 2.0}
+
+    def test_large_ate_truth_follows_beta(self):
+        # E[beta0 + beta1 X] with X ~ U(0, 1).
+        table = LargeSampleDgp(beta=(1.0, 1.0)).study_estimators()
+        for name in ("npw", "ipw"):
+            assert table[name][1] == {"b0": 1.0, "b1": 1.0, "ate": 1.5}
 
 
 def _counting(outcomes):

@@ -394,6 +394,22 @@ class TestEnumerateExpectation:
         with pytest.raises(EnumerationTooLarge):
             enumerate_expectation(lambda w, y: 1.0, np.zeros((n, 2)), model, strata)
 
+    def test_probabilities_off_one_rejected(self):
+        # Each row is within the model's own 1e-12 check, but the product
+        # over 12 units totals (1 + 9e-13)^12, about 1 + 1.08e-11.
+        _, strata = _make([0.0] * 12, [0] * 12, [1] * 12)
+        model = AssignmentModel(lam=[[0.3, 0.7 + 9e-13]])
+        with pytest.raises(ConfigError, match="assignment probabilities sum to"):
+            enumerate_expectation(lambda w, y: 1.0, np.zeros((12, 2)), model, strata)
+
+    @pytest.mark.parametrize("offset", [8e-14, -8e-14], ids=["above", "below"])
+    def test_probabilities_near_one_accepted(self, offset):
+        # The total is (1 + offset)^12, about 9.6e-13 off 1: inside the guard.
+        _, strata = _make([0.0] * 12, [0] * 12, [1] * 12)
+        model = AssignmentModel(lam=[[0.3, 0.7 + offset]])
+        value = enumerate_expectation(lambda w, y: 1.0, np.zeros((12, 2)), model, strata)
+        assert abs(value - 1.0) < 1e-12
+
     def test_heterogeneous_outcomes_enter_via_assignment(self):
         data, strata = _make([0.0, 0.0], [0, 0], [1, 1])
         pot = np.array([[1.0, 10.0], [2.0, 20.0]])

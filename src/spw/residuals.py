@@ -484,6 +484,13 @@ class DiscreteDesign:
     outcome_dists: Mapping[tuple[int, object], tuple[tuple[float, ...], tuple[float, ...]]] | None = None
 
     def __post_init__(self):
+        n, arms = len(self.points), len(self.treatments)
+        if len(set(self.points)) != n or len(set(self.treatments)) != arms:
+            raise ConfigError("design points and treatments must be distinct")
+        if not len(self.masses) == len(self.lam) == len(self.mu) == n:
+            raise ConfigError(f"masses, lam and mu need one row per point ({n})")
+        if any(len(row) != arms for row in (*self.lam, *self.mu)):
+            raise ConfigError(f"each lam and mu row needs one entry per treatment ({arms})")
         _require_finite("support masses", *self.masses)
         _require_finite("response means", *(m for row in self.mu for m in row))
         if any(m < 0.0 for m in self.masses) or abs(math.fsum(self.masses) - 1.0) > 1e-12:
@@ -499,13 +506,22 @@ class DiscreteDesign:
         return cls(tuple(points), tuple(masses), (0, 1), lam, mu, outcome_dists)
 
     def _idx(self, x) -> int:
-        return self.points.index(x)
+        try:
+            return self.points.index(x)
+        except ValueError:
+            raise ConfigError(f"design has no point {x!r}") from None
+
+    def _arm(self, w) -> int:
+        try:
+            return self.treatments.index(w)
+        except ValueError:
+            raise ConfigError(f"design has no treatment {w!r}") from None
 
     def lam_at(self, x, w: int) -> float:
-        return self.lam[self._idx(x)][self.treatments.index(w)]
+        return self.lam[self._idx(x)][self._arm(w)]
 
     def mu_at(self, x, w: int) -> float:
-        return self.mu[self._idx(x)][self.treatments.index(w)]
+        return self.mu[self._idx(x)][self._arm(w)]
 
     def e(self, x) -> float:
         return self.lam_at(x, 1)

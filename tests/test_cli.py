@@ -115,6 +115,13 @@ class TestEstimate:
         assert f"polynomial degree {10**30} is above the limit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unparsable_polynomial_degree_exit_2(self, large_csv, tmp_path, capsys):
+        out = tmp_path / "fit"
+        argv = ["estimate", "--data", str(large_csv), "--basis", "poly:x", "--out", str(out)]
+        assert main(argv) == 2
+        assert "cannot parse polynomial degree in 'poly:x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_byte_identical(self, large_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -203,6 +210,14 @@ class TestFpw:
         )
         assert code == 2
 
+
+    def test_malformed_kappa_exit_2(self, finite_csv, tmp_path, capsys):
+        out = tmp_path / "fpw"
+        argv = ["fpw", "--data", str(finite_csv), "--bounds", "w=0:0,10", "--bounds", "w=1:0,10"]
+        argv += ["--kappa", "a,b", "--out", str(out)]
+        assert main(argv) == 2
+        assert "cannot parse contrast weights 'a,b'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.fixture
     def vacant_csv(self, tmp_path):
@@ -585,6 +600,10 @@ class TestCheck:
                 '{"kind": "multivalued_cac", "treatments": [0, 1.5], "kappa": [-1, 1]}',
                 "'treatments'",
             ),
+            (
+                '{"kind": "multivalued_cac", "treatments": [0, 2], "kappa": [-1, 1]}',
+                "contrast must use {0, 1}",
+            ),
         ],
         ids=[
             "srp-without-theta1",
@@ -600,6 +619,7 @@ class TestCheck:
             "cqr-fractional-w",
             "cqr-boolean-w",
             "cac-fractional-treatment",
+            "cac-non-binary-treatment",
         ],
     )
     def test_check_malformed_kind_fields_exit_2(self, capsys, spec, field):

@@ -242,6 +242,13 @@ class TestMisc:
         assert (err.value.row, err.value.column) == (3, "w")
 
 
+    @pytest.mark.parametrize("w", [[1, 0, -3], [1.0, 0.0, -3.0]], ids=["int", "float"])
+    def test_negative_treatment_label_rejected(self, w):
+        with pytest.raises(UnknownTreatmentLabel) as err:
+            Dataset.from_arrays([1.0, 2.0, 3.0], w, [1, 1, 1])
+        assert (err.value.label, err.value.row) == (-3, 3)
+
+
 def _random_doubles(seed, n=200):
     rng = np.random.default_rng(seed)
     mant = rng.uniform(-1.0, 1.0, n)

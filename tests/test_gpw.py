@@ -152,6 +152,17 @@ class TestGpwEstimate:
             gpw_estimate(data, None, CONST, nu=1.0)
         assert err.value.index == 1
 
+    def test_weighted_ipw_rejects_vanishing_propensity_product(self):
+        # e = 1e-301 lies inside (0, 1), but its e(1 - e) is below the
+        # 1e-300 floor that the inverse-weighting form divides by.
+        data = Dataset.from_arrays(
+            [1.0, 2.0, 0.5], [1, 0, 1], [0.0, 0.5, 1.0], mode="large",
+            propensity=[0.5, 1e-301, 0.3],
+        )
+        with pytest.raises(PropensityOnBoundary) as err:
+            gpw_as_weighted_ipw(data, None, CONST, nu=1.0)
+        assert err.value.index == 1
+
     @pytest.mark.parametrize(
         "fit",
         [

@@ -1,5 +1,7 @@
 """Exact tests of the generalized residual calculus on discrete designs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from spw.errors import (
     ConfigError,
     MissingNuisance,
+    NonLinearInOutcome,
     NuisanceOutOfRange,
     PerturbationLeavesDomain,
     StabilizerBoundViolated,
@@ -193,6 +196,11 @@ class TestConditionalMean:
             value = conditional_mean(kind, x, design_moderate.tau(x), nuis, design_moderate)
             assert abs(value) <= MOMENT_TOL
 
+    def test_kind_without_closed_form_rejected(self, design_moderate):
+        nuis = design_moderate.true_nuisances()
+        with pytest.raises(NonLinearInOutcome, match="object"):
+            conditional_mean(object(), 1, 0.0, nuis, design_moderate)
+
 
 def _single_point_design(e, mu0, mu1):
     return DiscreteDesign.binary(
@@ -223,6 +231,70 @@ class TestDiscreteDesign:
             self._binary(mu0=(float("inf"), 2.0))
         with pytest.raises(ConfigError, match="finite"):
             self._binary(mu1=(3.0, float("nan")))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(e=(0.3,)),
+            dict(mu0=(1.0,), mu1=(3.0,)),
+            dict(masses=(1.0,)),
+            dict(points=(1, 2, 3), masses=(0.5, 0.3, 0.2)),
+        ],
+        ids=["short-lam", "short-mu", "short-masses", "extra-point"],
+    )
+    def test_one_row_per_point(self, changes):
+        # Each of these used to be accepted; the short tables failed later
+        # with a bare IndexError, or never if the missing row was not read.
+        with pytest.raises(ConfigError, match="one row per point"):
+            self._binary(**changes)
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            (((0.2, 0.3, 0.5), (0.4, 0.6)), ((1.0, 2.0), (3.0, 4.0))),
+            (((0.4, 0.6), (0.4, 0.6)), ((1.0, 2.0), (3.0,))),
+        ],
+        ids=["long-lam-row", "short-mu-row"],
+    )
+    def test_one_entry_per_treatment(self, lam, mu):
+        # The long lam row sums to 1, and the probes used to read
+        # P(W=0) = 0.2 and P(W=1) = 0.3 from it.
+        with pytest.raises(ConfigError, match="one entry per treatment"):
+            DiscreteDesign((1, 2), (0.5, 0.5), (0, 1), lam, mu)
+
+    @pytest.mark.parametrize(
+        "points, treatments", [((1, 1), (0, 1)), ((1, 2), (1, 1))], ids=["point", "treatment"]
+    )
+    def test_repeated_labels_rejected(self, points, treatments):
+        # A repeated point's second row was never read.
+        lam = ((0.4, 0.6), (0.3, 0.7))
+        with pytest.raises(ConfigError, match="distinct"):
+            DiscreteDesign(points, (0.5, 0.5), treatments, lam, ((1.0, 2.0), (3.0, 4.0)))
+
+    def test_cdf_needs_outcome_distributions(self):
+        with pytest.raises(ConfigError, match="no outcome distributions"):
+            self._binary().cdf(0.0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "lookup, args, match",
+        [
+            ("lam_at", (3, 1), "no point 3"),
+            ("mu_at", ("a", 0), "no point 'a'"),
+            ("lam_at", (1, 2), "no treatment 2"),
+            ("mu_at", (2, -1), "no treatment -1"),
+            ("eta", (7,), "no point 7"),
+        ],
+    )
+    def test_unknown_point_or_treatment_named(self, lookup, args, match):
+        with pytest.raises(ConfigError, match=match):
+            getattr(self._binary(), lookup)(*args)
+
+    def test_quantile_kind_of_undeclared_arm(self, design_atoms):
+        # Its phi is lam_at(x, 2), which used to raise a bare ValueError.
+        kind = MultivaluedCqr(v=0.5, w=2)
+        truth = design_atoms.true_cqr_nuisances()
+        with pytest.raises(ConfigError, match="no treatment 2"):
+            conditional_mean(kind, 1, 0.0, truth, design_atoms)
 
 
 class TestGateaux:
@@ -507,9 +579,36 @@ class TestCqrResidual:
         with pytest.raises(NuisanceOutOfRange):
             kind.value(1.0, 1, "a", 0.0, nuis)
 
+    def test_phi_out_of_range(self):
+        kind = MultivaluedCqr(v=0.5, w=1)
+        nuis = CqrNuisances(phi=lambda w, x: 1.2, gamma=lambda u, w, x: 0.5)
+        with pytest.raises(NuisanceOutOfRange):
+            kind.value(1.0, 1, "a", 0.0, nuis)
+
     def test_level_domain(self):
         with pytest.raises(ConfigError):
             MultivaluedCqr(v=0.0, w=1)
+
+    def test_value_integrates_to_the_closed_form(self, design_atoms):
+        # conditional_mean has its own closed form for this kind; the
+        # residual itself, summed over every arm's outcome atoms, must
+        # give the same expectation.
+        truth = design_atoms.true_cqr_nuisances()
+        bent = CqrNuisances(phi=lambda w, x: 0.31, gamma=lambda u, w, x: 0.4)
+        for nuis in (truth, bent):
+            for x in design_atoms.points:
+                for arm in design_atoms.treatments:
+                    for q in (-2.0, -1.0, 0.5, 1.0, 2.5, 3.0, 5.0):
+                        if not 0.0 <= nuis.gamma(q, arm, x) <= 1.0:
+                            continue
+                        kind = MultivaluedCqr(v=0.3, w=arm)
+                        integral = math.fsum(
+                            design_atoms.lam_at(x, w) * p * kind.value(y, w, x, q, nuis)
+                            for w in design_atoms.treatments
+                            for y, p in zip(*design_atoms.outcome_dists[(w, x)])
+                        )
+                        closed = conditional_mean(kind, x, q, nuis, design_atoms)
+                        assert abs(integral - closed) <= 1e-15, (x, arm, q)
 
 
 class TestSrpCustom:

@@ -287,6 +287,20 @@ class _ReversedOddReps(FiniteSampleDgp):
         return Dataset.from_arrays(data.y[::-1], data.w[::-1], data.x[::-1], treatments=(0, 1))
 
 
+@dataclasses.dataclass(frozen=True)
+class _SingletonFirstRep(FiniteSampleDgp):
+    """Replication 0 moves its first unit into a stratum of its own, which
+    build_strata rejects; the other replications are the parent DGP's."""
+
+    def generate(self, rng):
+        data = super().generate(rng)
+        if rng.bit_generator.seed_seq.spawn_key[-1] != 0:
+            return data
+        x = data.x.copy()
+        x[0] = 2
+        return Dataset.from_arrays(data.y, data.w, x, treatments=(0, 1))
+
+
 def _odd_w_sum(y, w, strata):
     """wmd, failing on every replication whose number of treated units is odd."""
     if np.any(np.add.reduce(w, -1) % 2 == 1):
@@ -332,6 +346,15 @@ class TestBlockRoute:
         estimators = _estimators(dgp)
         got = run_study(dgp, estimators, reps=40, seed=3)
         _assert_same_study(got, run_study(dgp, _looped(estimators), reps=40, seed=3))
+
+    def test_unstratifiable_first_replication_runs_every_replication_alone(self):
+        dgp = _SingletonFirstRep(n=50, lam1=0.3)
+        estimators = _estimators(dgp)
+        got = run_study(dgp, estimators, reps=30, seed=4)
+        _assert_same_study(got, run_study(dgp, _looped(estimators), reps=30, seed=4))
+        assert got.error_counts == {name: 1 for name in estimators}
+        assert np.isnan(got.matrix[0]).all()
+        assert not np.isnan(got.matrix[1:]).any()
 
     def test_one_strata_index_per_study(self, monkeypatch):
         calls = []

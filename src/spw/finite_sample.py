@@ -221,14 +221,16 @@ def _pooled_ends(
     """Endpoints [lo, hi] of the pooled set-estimate of the arm's response
     mean: scalars on one assignment (n,), (R,) arrays on a block (R, n).
 
-    With K > 1 and no vacant stratum in any row, nothing is imputed, so
-    both endpoints are one point, mean(base + 0.0), computed once. The sum
-    is ``np.mean``'s order: one add.reduce per row. With K = 1 each endpoint
-    keeps its own pass: a bound t < 0 imputes t * 0.0 = -0.0, and
-    base + -0.0 keeps a -0.0 term that base + 0.0 would turn to +0.0.
-    With K = 2 a vacant stratum's units take the other stratum's mu_hat
-    times its one pooling weight, in one pass over every row; K >= 3
-    keeps a loop over (row, vacant stratum), whose dot rounds as ``ddot``.
+    Each endpoint is mean(base + fill[..., labels]) in np.mean's arithmetic
+    (one add.reduce per row, then / n), not intercept + t * slope, which
+    rounds differently. ``fill`` (..., K) is 0.0 except for strata vacant
+    in that row. With K > 1 and nothing vacant, both endpoints are one
+    point, mean(base + 0.0), computed once. With K = 1 the fill is
+    t * vacant: a bound t < 0 keeps -0.0 terms that + 0.0 would turn to
+    +0.0. With K = 2 a vacant stratum takes the other's mu_hat times its
+    one pooling weight (exactly 1.0 by default), in one pass: a length-1
+    dot is that multiply, and mu_hat is never -0.0. K >= 3 makes one
+    ``weights @ mu_hat[others]`` per (row, vacant stratum), rounded as ``ddot``.
     """
     n = strata.labels.shape[0]
     k_n = strata.n_strata
@@ -240,58 +242,37 @@ def _pooled_ends(
     mu_tilde = _stratum_sums(strata, base) / counts
     is_vacant = m_w == 0
     vacant = is_vacant.astype(float)
+    # (row, stratum) of each vacancy; the row index is absent on one
+    # assignment. Then the other strata and their pooling weights, per
+    # stratum vacant in some row.
+    vacancies = [index.tolist() for index in is_vacant.nonzero()]
+    pools = {}
+    if k_n > 1:
+        for k in dict.fromkeys(vacancies[-1]):
+            others = [j for j in range(k_n) if j != k]
+            if pool_weights is None:
+                weights = counts[others] / float(n - counts[k])
+            else:
+                weights = np.array([pool_weights(arm, j, k) for j in others], dtype=float)
+                if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+                    raise ConfigError("pooling weights must be nonnegative and sum to 1")
+            pools[k] = others, weights
+    if k_n == 2:
+        factor = np.array([pools[k][1][0] if k in pools else 1.0 for k in range(2)])
 
-    def weights_for(k: int, others: list[int]) -> np.ndarray:
-        """The pooling weights of the other strata, for vacant stratum k."""
-        if pool_weights is None:
-            return counts[others] / (n - counts[k])
-        weights = np.array([pool_weights(arm, j, k) for j in others], dtype=float)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ConfigError("pooling weights must be nonnegative and sum to 1")
-        return weights
-
-    # With K = 2 a stratum's one pooling weight is counts[other] /
-    # counts[other] = 1.0 by default, so only custom weights, asked for the
-    # strata vacant in some row, are multiplied in.
-    factor = None
-    if k_n == 2 and pool_weights is not None:
-        factor = np.array(
-            [weights_for(k, [1 - k])[0] if is_vacant[..., k].any() else 1.0 for k in range(2)]
-        )
-    # With K >= 3: (row index, vacant stratum, the other strata, their
-    # pooling weights); the row index is () on one assignment and (r,) on
-    # a block.
-    pools = []
-    if k_n > 2:
-        pooled = {}
-        for *row, k in zip(*[index.tolist() for index in vacant.nonzero()]):
-            if k not in pooled:
-                others = [j for j in range(k_n) if j != k]
-                pooled[k] = others, weights_for(k, others)
-            pools.append((tuple(row), k, *pooled[k]))
-
-    # Each endpoint is mean(base + imputed), not intercept + t * slope:
-    # the affine form would round the endpoints differently. The mean is
-    # np.mean's own arithmetic (one add.reduce per row, then / n).
     ends = []
     for t in bounds:
         if k_n == 1:
-            imputed = t * vacant.take(strata.labels, axis=-1)
+            fill = t * vacant
         elif k_n == 2:
-            # At K = 2 the loop's ``weights @ mu_hat`` has length 1, so it is
-            # this one multiply, and the other stratum's mu_hat is never -0.0
-            # (bincount sums start from +0.0): one gather by labels gives the
-            # loop's bytes.
-            other = (mu_tilde + t * vacant)[..., ::-1]
-            if factor is not None:
-                other = factor * other
-            imputed = np.where(is_vacant, other, 0.0)[..., strata.labels]
+            fill = np.where(is_vacant, factor * (mu_tilde + t * vacant)[..., ::-1], 0.0)
         else:
             mu_hat = mu_tilde + t * vacant
-            imputed = np.zeros(base.shape)
-            for row, k, others, weights in pools:
-                imputed[(*row, strata.members[k])] = float(weights @ mu_hat[(*row, others)])
-        ends.append(np.add.reduce(base + imputed, -1) / n)
+            fill = np.zeros(mu_hat.shape)
+            for *row, k in zip(*vacancies):
+                others, weights = pools[k]
+                fill[(*row, k)] = weights @ mu_hat[(*row, others)]
+        ends.append(np.add.reduce(base + fill.take(strata.labels, axis=-1), -1) / n)
     return ends
 
 
@@ -459,12 +440,14 @@ def enumerate_expectation(
     place = arms ** np.arange(n - 1, -1, -1)
     chunk = max(1, _CHUNK_CELLS // n)
 
-    # Neumaier-compensated sums (total, compensation) in local floats: of
-    # the probabilities, and of p * statistic per component of its value.
-    # A scalar statistic keeps its own pair of floats: run as width 1
-    # through the component lists, it cost about 0.8 us more per
-    # assignment (traced, 2-vCPU Xeon), and the exact laws call scalars.
-    p_total = p_comp = 0.0
+    # Neumaier-compensated sums (total, compensation) in local floats of
+    # p * statistic, per component of its value. A scalar statistic keeps
+    # its own pair of floats: run as width 1 through the component lists,
+    # it cost about 0.8 us more per assignment (traced, 2-vCPU Xeon), and
+    # the exact laws call scalars. The probabilities only feed the guard
+    # that they total 1: one exactly rounded fsum per chunk, and an fsum
+    # of those.
+    chunk_sums: list[float] = []
     s_total = s_comp = 0.0
     totals: list[float] = []
     comps: list[float] = []
@@ -475,6 +458,7 @@ def enumerate_expectation(
         idx = codes[:, None] // place % arms  # (chunk, n) treatment indices
         # A row product multiplies left to right, as np.prod of one row does.
         probs = np.prod(lam_per_unit[rows, idx], axis=1).tolist()
+        chunk_sums.append(math.fsum(probs))
         for p, w_vec, y_vec in zip(probs, treat_values[idx], pot[rows, idx]):
             value = statistic(w_vec, y_vec)
             if width is None:
@@ -509,15 +493,10 @@ def enumerate_expectation(
                 raise ConfigError(
                     f"statistic returned {value!r} after returning {before}"
                 ) from None
-            t = p_total + p
-            if abs(p_total) >= abs(p):
-                p_comp += (p_total - t) + p
-            else:
-                p_comp += (p - t) + p_total
-            p_total = t
 
-    if abs((p_total + p_comp) - 1.0) > 1e-12:
-        raise ConfigError(f"assignment probabilities sum to {p_total + p_comp!r}, not 1")
+    p_total = math.fsum(chunk_sums)
+    if abs(p_total - 1.0) > 1e-12:
+        raise ConfigError(f"assignment probabilities sum to {p_total!r}, not 1")
     if scalar_out:
         return s_total + s_comp
     return np.array([t + c for t, c in zip(totals, comps)])

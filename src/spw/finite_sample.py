@@ -242,16 +242,17 @@ def _pooled_ends(
     mu_tilde = _stratum_sums(strata, base) / counts
     is_vacant = m_w == 0
     vacant = is_vacant.astype(float)
-    # (row, stratum) of each vacancy; the row index is absent on one
-    # assignment. Then the other strata and their pooling weights, per
-    # stratum vacant in some row.
+    # (row, stratum) of each vacancy, with no row on one assignment; then
+    # the other strata and their pooling weights, per stratum vacant anywhere.
     vacancies = [index.tolist() for index in is_vacant.nonzero()]
+    sizes = counts.tolist()
     pools = {}
     if k_n > 1:
         for k in dict.fromkeys(vacancies[-1]):
             others = [j for j in range(k_n) if j != k]
             if pool_weights is None:
-                weights = counts[others] / float(n - counts[k])
+                # Python ints divide to the same double as numpy's, faster.
+                weights = np.array([sizes[j] / (n - sizes[k]) for j in others])
             else:
                 weights = np.array([pool_weights(arm, j, k) for j in others], dtype=float)
                 if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:

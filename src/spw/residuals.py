@@ -511,17 +511,18 @@ class DiscreteDesign:
         except ValueError:
             raise ConfigError(f"design has no point {x!r}") from None
 
-    def _arm(self, w) -> int:
+    def _cell(self, table, x, w: int) -> float:
         try:
-            return self.treatments.index(w)
+            return table[self.points.index(x)][self.treatments.index(w)]
         except ValueError:
+            self._idx(x)  # raises if the point is the unknown one
             raise ConfigError(f"design has no treatment {w!r}") from None
 
     def lam_at(self, x, w: int) -> float:
-        return self.lam[self._idx(x)][self._arm(w)]
+        return self._cell(self.lam, x, w)
 
     def mu_at(self, x, w: int) -> float:
-        return self.mu[self._idx(x)][self._arm(w)]
+        return self._cell(self.mu, x, w)
 
     def e(self, x) -> float:
         return self.lam_at(x, 1)

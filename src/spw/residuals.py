@@ -11,6 +11,7 @@ a double-robustness report under controlled misspecification.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -74,10 +75,7 @@ class NuisanceSet:
             out.append(v)
         return out
 
-    def replace(self, **kw) -> "NuisanceSet":
-        fields = {"e": self.e, "mu0": self.mu0, "mu1": self.mu1, "eta": self.eta, "r": self.r}
-        fields.update(kw)
-        return NuisanceSet(**fields)
+    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,14 @@ class CqrNuisances:
 # ---------------------------------------------------------------------------
 # Residual kinds
 # ---------------------------------------------------------------------------
+
+
+class _Affine:
+    """Residual A * target - B, (A, B) = coefficients(y, w, x, nuis); B alone reads y, affinely."""
+
+    def value(self, y, w, x, target, nuis) -> float:
+        a, b = self.coefficients(y, w, x, nuis)
+        return a * target - b
 
 
 @dataclass(frozen=True)
@@ -132,61 +138,56 @@ class GnpwSpec:
 
 
 @dataclass(frozen=True)
-class Gnpw:
+class Gnpw(_Affine):
     """Doubly robust GNPW residual with nuisances (e, mu0, mu1)."""
 
     spec: GnpwSpec = GnpwSpec()
 
     name = "gnpw"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, m0, m1 = nuis.values(x, self.name, "e", "mu0", "mu1")
         t1, t2, t3, t4 = self.spec.theta
-        weight = t1 * w + t2 * e + t3 * w * e + t4 * e * e
         aug = m0 + (t2 + t4 * e) * (m1 - m0)
         pre = e**self.spec.nu1 * (1.0 - e) ** self.spec.nu2
-        return pre * (weight * tau - (w - e) * (y - aug))
+        return pre * (t1 * w + t2 * e + t3 * w * e + t4 * e * e), pre * (w - e) * (y - aug)
 
 
 @dataclass(frozen=True)
-class OneSidedControl:
+class OneSidedControl(_Affine):
     """W tau - (W - e)(Y - mu0)/(1 - e); valid when e is bounded below 1."""
 
     name = "one_sided_control"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, m0 = nuis.values(x, self.name, "e", "mu0")
-        return w * tau - (w - e) * (y - m0) / (1.0 - e)
+        return w, (w - e) * (y - m0) / (1.0 - e)
 
 
 @dataclass(frozen=True)
-class OneSidedTreated:
+class OneSidedTreated(_Affine):
     """(1 - W) tau - (W - e)(Y - mu1)/e; valid when e is bounded above 0."""
 
     name = "one_sided_treated"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, m1 = nuis.values(x, self.name, "e", "mu1")
-        return (1.0 - w) * tau - (w - e) * (y - m1) / e
+        return 1.0 - w, (w - e) * (y - m1) / e
 
 
 @dataclass(frozen=True)
-class WeightedAipw:
+class WeightedAipw(_Affine):
     """e(1-e)[tau - (mu1 - mu0)] - (W - e)(Y - W mu1 - (1-W) mu0)."""
 
     name = "weighted_aipw"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, m0, m1 = nuis.values(x, self.name, "e", "mu0", "mu1")
-        return (
-            e * (1.0 - e) * tau
-            - e * (1.0 - e) * (m1 - m0)
-            - (w - e) * (y - w * m1 - (1.0 - w) * m0)
-        )
+        return e * (1.0 - e), e * (1.0 - e) * (m1 - m0) + (w - e) * (y - w * m1 - (1.0 - w) * m0)
 
 
 @dataclass(frozen=True)
-class StabilizedAipw:
+class StabilizedAipw(_Affine):
     """AIPW rescaled by a known r(1-r); globally double robust.
 
     When no stabilizer function is supplied, r = 0.5. ``bound``, if
@@ -200,7 +201,7 @@ class StabilizedAipw:
     def __post_init__(self):
         _require_finite("stabilizer bound", self.bound)
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, m0, m1 = nuis.values(x, self.name, "e", "mu0", "mu1")
         r = 0.5 if nuis.r is None else float(nuis.r(x))
         if not (0.0 < r < 1.0):
@@ -209,28 +210,27 @@ class StabilizedAipw:
         if self.bound is not None and stab / (e * (1.0 - e)) > self.bound:
             raise StabilizerBoundViolated(stab / (e * (1.0 - e)), self.bound)
         aipw = (w - e) * (y - w * m1 - (1.0 - w) * m0) / (e * (1.0 - e))
-        return stab * (tau - (m1 - m0) - aipw)
+        return stab, stab * ((m1 - m0) + aipw)
 
 
 @dataclass(frozen=True)
-class HybridRegion:
+class HybridRegion(_Affine):
     """One-sided residual switched by a known binary region function r:
     r(x) = 1 marks regions handled as one-sided control (e possibly
     near 0), r(x) = 0 as one-sided treated (e possibly near 1)."""
 
     name = "hybrid_region"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, m0, m1, r = nuis.values(x, self.name, "e", "mu0", "mu1", "r")
         if r not in (0.0, 1.0):
             raise NuisanceOutOfRange("r", r, x)
-        weight = w * r + (1.0 - w) * (1.0 - r)
         stilde = r / (1.0 - e) + (1.0 - r) / e
-        return weight * tau - stilde * (w - e) * (y - r * m0 - (1.0 - r) * m1)
+        return w * r + (1.0 - w) * (1.0 - r), stilde * (w - e) * (y - r * m0 - (1.0 - r) * m1)
 
 
 @dataclass(frozen=True)
-class RobinsonClassic:
+class RobinsonClassic(_Affine):
     """(W - e)^2 tau - (W - e)(Y - eta) with eta = E[Y | X].
 
     Neyman orthogonal but not doubly robust: a systematic error in e
@@ -239,13 +239,13 @@ class RobinsonClassic:
 
     name = "robinson"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         e, eta = nuis.values(x, self.name, "e", "eta")
-        return (w - e) ** 2 * tau - (w - e) * (y - eta)
+        return (w - e) ** 2, (w - e) * (y - eta)
 
 
 @dataclass(frozen=True)
-class SrpNoPropensity:
+class SrpNoPropensity(_Affine):
     """Residualization without propensity scores:
     [t1 W + t2 (W-1)] tau - (t1 + t2) Y + t1 mu0 + t2 mu1.
 
@@ -263,14 +263,14 @@ class SrpNoPropensity:
         if self.theta1 < 0 or self.theta2 < 0 or (self.theta1 == 0 and self.theta2 == 0):
             raise ConfigError("SRP coefficients must be nonnegative and not both zero")
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
+    def coefficients(self, y, w, x, nuis: NuisanceSet) -> tuple[float, float]:
         m0, m1 = nuis.values(x, self.name, "mu0", "mu1")
         t1, t2 = self.theta1, self.theta2
-        return (t1 * w + t2 * (w - 1.0)) * tau - (t1 + t2) * y + t1 * m0 + t2 * m1
+        return t1 * w + t2 * (w - 1.0), (t1 + t2) * y - t1 * m0 - t2 * m1
 
 
 @dataclass(frozen=True)
-class SrpCustom:
+class SrpCustom(_Affine):
     """User-supplied residual triple (psi1, psi2, psi3), each (x, w) -> R:
     psi1 tau - psi2 Y - psi3. No validity checking is performed beyond
     what the moment probes measure on a design."""
@@ -281,14 +281,15 @@ class SrpCustom:
 
     name = "srp_custom"
 
-    def value(self, y, w, x, tau, nuis: NuisanceSet) -> float:
-        return self.psi1(x, w) * tau - self.psi2(x, w) * y - self.psi3(x, w)
+    def coefficients(self, y, w, x, nuis) -> tuple[float, float]:
+        return self.psi1(x, w), self.psi2(x, w) * y + self.psi3(x, w)
 
 
 @dataclass(frozen=True)
-class MultivaluedCac:
-    """Stabilized augmented residual for a contrast sum_w kappa_w mu_w
-    over a finite treatment subset.
+class MultivaluedCac(_Affine):
+    """Stabilized augmented residual stab * (acc - theta) for a contrast
+    theta = sum_w kappa_w mu_w over a finite treatment subset, where acc
+    is its augmented weighting estimate: A = -stab and B = -stab * acc.
 
     The default stabilizer is the product of phi(w, x) over the
     contrast's treatments; a custom one may be supplied along with a
@@ -306,7 +307,7 @@ class MultivaluedCac:
             raise ConfigError("contrast treatments and kappa must align and be nonempty")
         _require_finite("contrast kappa and bound", *self.kappa, self.bound)
 
-    def value(self, y, w, x, theta, nuis: CacNuisances) -> float:
+    def coefficients(self, y, w, x, nuis: CacNuisances) -> tuple[float, float]:
         phis = {}
         for wt in self.treatments:
             p = float(nuis.phi(wt, x))
@@ -322,7 +323,7 @@ class MultivaluedCac:
             g = float(nuis.gamma(wt, x))
             ind = 1.0 if w == wt else 0.0
             acc += kap * (g + ind / phis[wt] * (y - g))
-        return stab * (acc - theta)
+        return -stab, -stab * acc
 
 
 @dataclass(frozen=True)
@@ -351,19 +352,7 @@ class MultivaluedCqr:
         return ind * (below - g) + phi * (g - self.v)
 
 
-MEAN_KINDS = (
-    Gnpw,
-    OneSidedControl,
-    OneSidedTreated,
-    WeightedAipw,
-    StabilizedAipw,
-    HybridRegion,
-    RobinsonClassic,
-    SrpNoPropensity,
-    SrpCustom,
-)
-
-ResidualKind = object  # any of the kinds above, plus MultivaluedCac / MultivaluedCqr
+ResidualKind = object  # any of the kinds above
 
 
 _REQUIRED = object()
@@ -384,14 +373,10 @@ def _labels(values) -> tuple[int, ...]:
     return tuple(_label(v) for v in values)
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
 # Wire tag -> (class, its (field, convert, default) entries). A field whose
 # default is None is left out of the JSON form while it is None. Gnpw's
 # fields are those of its GnpwSpec.
-_BOUND = ("bound", _optional_float, None)
+_BOUND = ("bound", lambda value: None if value is None else float(value), None)
 _WIRE = {
     cls.name: (cls, fields)
     for cls, fields in (
@@ -472,8 +457,9 @@ class DiscreteDesign:
     per-point treatment probabilities and response means.
 
     ``lam[i][j]`` is P{W = treatments[j] | X = points[i]}; ``mu[i][j]``
-    the matching response mean. ``outcome_dists``, when present, holds
-    per (point, treatment) atom distributions for quantile probes.
+    the matching response mean. ``outcome_dists`` may map declared
+    (treatment, point) cells to finite atoms (values, probs) for quantile
+    probes, probs nonnegative with sum 1 and the cell's mean as their mean.
     """
 
     points: tuple
@@ -498,12 +484,23 @@ class DiscreteDesign:
         for row in self.lam:
             if abs(math.fsum(row) - 1.0) > 1e-12 or any(not (0.0 < p < 1.0) for p in row):
                 raise ConfigError("treatment probabilities must lie in (0,1) and sum to 1")
+        for cell, (values, probs) in (self.outcome_dists or {}).items():
+            where = f"outcome atoms of (treatment, point) {cell!r}"
+            if cell not in {(w, x) for x in self.points for w in self.treatments}:
+                raise ConfigError(f"{where}: not a declared cell")
+            if len(values) != len(probs):
+                raise ConfigError(f"{where}: values and probabilities must align")
+            _require_finite(where, *values, *probs)
+            if any(p < 0.0 for p in probs) or abs(math.fsum(probs) - 1.0) > 1e-12:
+                raise ConfigError(f"{where}: probabilities must be nonnegative and sum to 1")
+            mu = self.mu_at(cell[1], cell[0])
+            if abs(math.fsum(v * p for v, p in zip(values, probs)) - mu) > 1e-12 * max(1.0, abs(mu)):
+                raise ConfigError(f"{where}: their mean must be the response mean {mu!r}")
 
     @classmethod
     def binary(cls, points, masses, e, mu0, mu1, outcome_dists=None) -> "DiscreteDesign":
         lam = tuple((1.0 - ei, ei) for ei in e)
-        mu = tuple((m0, m1) for m0, m1 in zip(mu0, mu1))
-        return cls(tuple(points), tuple(masses), (0, 1), lam, mu, outcome_dists)
+        return cls(tuple(points), tuple(masses), (0, 1), lam, tuple(zip(mu0, mu1)), outcome_dists)
 
     def _idx(self, x) -> int:
         try:
@@ -543,14 +540,17 @@ class DiscreteDesign:
     def theta(self, x, treatments, kappa) -> float:
         return math.fsum(k * self.mu_at(x, w) for w, k in zip(treatments, kappa))
 
+    def _atoms(self, w: int, x):
+        if (w, x) not in (self.outcome_dists or {}):
+            raise ConfigError(f"design has no outcome distributions for (treatment, point) {(w, x)!r}")
+        return self.outcome_dists[(w, x)]
+
     def cdf(self, u: float, w: int, x) -> float:
-        if self.outcome_dists is None:
-            raise ConfigError("design carries no outcome distributions")
-        values, probs = self.outcome_dists[(w, x)]
+        values, probs = self._atoms(w, x)
         return math.fsum(p for v, p in zip(values, probs) if v <= u)
 
     def quantile(self, v: float, w: int, x) -> float:
-        values, probs = self.outcome_dists[(w, x)]
+        values, probs = self._atoms(w, x)
         order = np.argsort(values)
         acc = 0.0
         for j in order:
@@ -566,18 +566,28 @@ class DiscreteDesign:
         return CacNuisances(phi=lambda w, x: self.lam_at(x, w), gamma=lambda w, x: self.mu_at(x, w))
 
     def true_cqr_nuisances(self) -> CqrNuisances:
-        return CqrNuisances(
-            phi=lambda w, x: self.lam_at(x, w),
-            gamma=lambda u, w, x: self.cdf(u, w, x),
-        )
+        return CqrNuisances(phi=lambda w, x: self.lam_at(x, w), gamma=self.cdf)
+
+
+def _expected_coefficients(kind: _Affine, x, nuis, design: DiscreteDesign) -> tuple[float, float]:
+    """E[A | X = x] and E[B | X = x] of an affine kind under the design's
+    law. B is affine in the outcome, so each arm's response mean stands in
+    for Y."""
+    a_terms, b_terms = [], []
+    for w in design.treatments:
+        lam = design.lam_at(x, w)
+        a, b = kind.coefficients(design.mu_at(x, w), w, x, nuis)
+        a_terms.append(lam * a)
+        b_terms.append(lam * b)
+    return math.fsum(a_terms), math.fsum(b_terms)
 
 
 def conditional_mean(kind, x, tau_tilde: float, nuis, design: DiscreteDesign) -> float:
     """Exact E[residual | X = x] under the design's true law.
 
-    All mean-based kinds are linear in the outcome, so the expectation
-    over Y collapses to the per-arm response mean; the quantile kind
-    uses the design's per-arm outcome CDF instead.
+    For the affine kinds it is E[A | X = x] tau_tilde - E[B | X = x];
+    the quantile kind, not affine in its target, uses the design's
+    per-arm outcome CDF instead.
     """
     if isinstance(kind, MultivaluedCqr):
         phi = float(nuis.phi(kind.w, x))
@@ -587,13 +597,10 @@ def conditional_mean(kind, x, tau_tilde: float, nuis, design: DiscreteDesign) ->
             indicator_part = design.cdf(tau_tilde, kind.w, x) - g if w == kind.w else 0.0
             total.append(design.lam_at(x, w) * (indicator_part + phi * (g - kind.v)))
         return math.fsum(total)
-    if isinstance(kind, MultivaluedCac) or isinstance(kind, MEAN_KINDS):
-        terms = []
-        for w in design.treatments:
-            y = design.mu_at(x, w)
-            terms.append(design.lam_at(x, w) * kind.value(y, w, x, tau_tilde, nuis))
-        return math.fsum(terms)
-    raise NonLinearInOutcome(type(kind).__name__)
+    if not isinstance(kind, _Affine):
+        raise NonLinearInOutcome(type(kind).__name__)
+    mean_a, mean_b = _expected_coefficients(kind, x, nuis, design)
+    return mean_a * tau_tilde - mean_b
 
 
 def srp_conditions(kind: SrpCustom, x, design: DiscreteDesign) -> tuple[float, float]:
@@ -603,13 +610,8 @@ def srp_conditions(kind: SrpCustom, x, design: DiscreteDesign) -> tuple[float, f
     E[psi1 | X] tau(x) - E[psi2 mu(W, X) | X] - E[psi3 | X]. A valid
     triple has a nonzero first component and a zero second one.
     """
-    lam = [design.lam_at(x, w) for w in design.treatments]
-    e_psi1 = math.fsum(l * kind.psi1(x, w) for l, w in zip(lam, design.treatments))
-    e_psi2_mu = math.fsum(
-        l * kind.psi2(x, w) * design.mu_at(x, w) for l, w in zip(lam, design.treatments)
-    )
-    e_psi3 = math.fsum(l * kind.psi3(x, w) for l, w in zip(lam, design.treatments))
-    return e_psi1, e_psi1 * design.tau(x) - e_psi2_mu - e_psi3
+    e_psi1, e_b = _expected_coefficients(kind, x, None, design)
+    return e_psi1, e_psi1 * design.tau(x) - e_b
 
 
 @dataclass(frozen=True)
@@ -634,12 +636,8 @@ class Perturbation:
                 return None
             return lambda x, fn=fn, comp=comp: float(fn(x)) + t * self._component(comp, x)
 
-        return nuis.replace(
-            e=shift(nuis.e, self.h_e),
-            mu0=shift(nuis.mu0, self.h_mu0),
-            mu1=shift(nuis.mu1, self.h_mu1),
-            eta=shift(nuis.eta, self.h_eta),
-        )
+        names = ("e", "mu0", "mu1", "eta")
+        return nuis.replace(**{n: shift(getattr(nuis, n), getattr(self, "h_" + n)) for n in names})
 
 
 def gateaux_derivative(
@@ -712,15 +710,15 @@ def dr_probe(
         return e * wrong_mu1(x) + (1.0 - e) * wrong_mu0(x)
 
     mu_subst = {"mu0": wrong_mu0, "mu1": wrong_mu1, "eta": wrong_eta}
-    cols = {"reference": truth}
-    cols["true_e_wrong_mu"] = truth.replace(**mu_subst)
-    cols["wrong_e_true_mu"] = truth.replace(e=wrong_e)
-    cols["both_wrong"] = truth.replace(e=wrong_e, **mu_subst)
-
+    cols = {
+        "reference": truth,
+        "true_e_wrong_mu": truth.replace(**mu_subst),
+        "wrong_e_true_mu": truth.replace(e=wrong_e),
+        "both_wrong": truth.replace(e=wrong_e, **mu_subst),
+    }
     tt = tau_tilde if callable(tau_tilde) else (lambda x, v=tau_tilde: v)
-    out = {}
-    for name, nu in cols.items():
-        out[name] = np.array(
-            [conditional_mean(kind, x, tt(x), nu, design) for x in design.points]
-        )
+    out = {
+        name: np.array([conditional_mean(kind, x, tt(x), nu, design) for x in design.points])
+        for name, nu in cols.items()
+    }
     return DrProbeReport(points=design.points, **out)

@@ -29,12 +29,14 @@ from spw.residuals import (
     OneSidedTreated,
     Perturbation,
     RobinsonClassic,
+    SrpCustom,
     SrpNoPropensity,
     StabilizedAipw,
     WeightedAipw,
     conditional_mean,
     dr_probe,
     gateaux_derivative,
+    srp_conditions,
 )
 
 MOMENT_TOL = 1e-12
@@ -56,7 +58,16 @@ def _mean_kinds(design):
         (RobinsonClassic(), None),
         (SrpNoPropensity(1.0, 0.0), None),
         (SrpNoPropensity(0.3, 0.7), None),
+        (_valid_triple(design), None),
     ]
+
+
+def _valid_triple(design):
+    # psi1 = W, psi2 = 1, psi3 = -mu0 reproduces the no-propensity
+    # residual W tau - (Y - mu0).
+    return SrpCustom(
+        psi1=lambda x, w: w, psi2=lambda x, w: 1.0, psi3=lambda x, w: -design.mu0(x)
+    )
 
 
 class TestEvalResidual:
@@ -274,6 +285,50 @@ class TestDiscreteDesign:
     def test_cdf_needs_outcome_distributions(self):
         with pytest.raises(ConfigError, match="no outcome distributions"):
             self._binary().cdf(0.0, 1, 1)
+
+    @pytest.mark.parametrize("lookup", ["cdf", "quantile"])
+    def test_lookups_of_a_cell_without_atoms(self, lookup):
+        # quantile used to raise TypeError without atoms, and both a bare
+        # KeyError for a (treatment, point) pair without atoms.
+        with pytest.raises(ConfigError, match=r"no outcome distributions .*\(1, 1\)"):
+            getattr(self._binary(), lookup)(0.5, 1, 1)
+        design = self._binary(outcome_dists={(0, 1): ((0.0, 2.0), (0.5, 0.5))})
+        assert design.cdf(0.0, 0, 1) == 0.5 and design.quantile(0.5, 0, 1) == 0.0
+        with pytest.raises(ConfigError, match=r"no outcome distributions .*\(1, 1\)"):
+            getattr(design, lookup)(0.5, 1, 1)
+
+    @pytest.mark.parametrize(
+        "atoms, mu0, match",
+        [
+            ({(0, 9): ((1.0,), (1.0,))}, 1.0, r"\(0, 9\): not a declared cell"),
+            ({(1, 0): ((1.0,), (1.0,))}, 1.0, r"\(1, 0\): not a declared cell"),
+            ({1: ((1.0,), (1.0,))}, 1.0, r"point\) 1: not a declared cell"),
+            ({(0, 1): ((0.0, 1.0, 2.0), (0.5, 0.5))}, 1.0, r"\(0, 1\): values and .* align"),
+            ({(0, 1): ((-1.0, 0.0, 2.0), (-0.25, 0.75, 0.5))}, 1.25, r"\(0, 1\): .*nonnegative"),
+            ({(0, 1): ((0.0, 2.0), (0.5, 0.6))}, 1.2, r"\(0, 1\): prob.* sum to 1"),
+            ({(0, 1): ((float("nan"), 2.0), (0.5, 0.5))}, 1.0, r"\(0, 1\) must be finite"),
+            ({(0, 1): ((0.0, 2.0), (0.5, float("inf")))}, 1.0, r"\(0, 1\) must be finite"),
+            ({(0, 1): ((0.0, 2.0), (0.5, 0.5))}, 7.0, r"\(0, 1\): .*mean .* 7\.0"),
+        ],
+        ids=["undeclared-point", "point-first", "not-a-pair", "unaligned", "negative-prob",
+             "prob-sum", "nan-value", "inf-prob", "wrong-mean"],
+    )
+    def test_outcome_atoms_validated(self, atoms, mu0, match):
+        # Each of these used to be accepted: the unaligned atoms were cut
+        # to two by zip, and the negative probability gave cdf(-1.0) = -0.25.
+        with pytest.raises(ConfigError, match=match):
+            self._binary(mu0=(mu0, 2.0), outcome_dists=atoms)
+
+    def test_atom_mean_tolerance_scales_with_the_response_mean(self):
+        # 1e-12 relative to max(1, |mu|): an ulp-level miss at 1e6 passes,
+        # a 1e-9 relative miss does not.
+        for mu, ok in ((1e6 * (1 + 2e-16), True), (1e6 * (1 + 1e-9), False)):
+            changes = dict(mu0=(mu, 2.0), outcome_dists={(0, 1): ((0.0, 2e6), (0.5, 0.5))})
+            if ok:
+                assert self._binary(**changes).cdf(0.0, 0, 1) == 0.5
+            else:
+                with pytest.raises(ConfigError, match="mean"):
+                    self._binary(**changes)
 
     @pytest.mark.parametrize(
         "lookup, args, match",
@@ -613,15 +668,7 @@ class TestCqrResidual:
 
 class TestSrpCustom:
     def test_valid_triple_passes_conditions_and_moment(self, design_moderate):
-        from spw.residuals import SrpCustom, srp_conditions
-
-        # psi1 = W, psi2 = 1, psi3 = -mu0 reproduces the no-propensity
-        # residual W tau - (Y - mu0).
-        kind = SrpCustom(
-            psi1=lambda x, w: w,
-            psi2=lambda x, w: 1.0,
-            psi3=lambda x, w: -design_moderate.mu0(x),
-        )
+        kind = _valid_triple(design_moderate)
         for x in design_moderate.points:
             e_psi1, defect = srp_conditions(kind, x, design_moderate)
             assert e_psi1 == pytest.approx(design_moderate.e(x))
@@ -632,8 +679,6 @@ class TestSrpCustom:
             assert abs(value) <= 1e-12
 
     def test_invalid_triple_reports_nonzero_defect(self, design_moderate):
-        from spw.residuals import SrpCustom, srp_conditions
-
         kind = SrpCustom(
             psi1=lambda x, w: w,
             psi2=lambda x, w: 1.0,
@@ -641,3 +686,180 @@ class TestSrpCustom:
         )
         defects = [abs(srp_conditions(kind, x, design_moderate)[1]) for x in design_moderate.points]
         assert max(defects) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Each kind's residual, conditional mean and SRP conditions as they were
+# written before the (A, B) coefficient form: one formula per kind, summed
+# per arm. The rewrite must agree with them within rounding.
+# ---------------------------------------------------------------------------
+
+
+def _former_value(kind, y, w, x, tau, nuis):
+    def get(*names):
+        return [float(getattr(nuis, name)(x)) for name in names]
+
+    if isinstance(kind, Gnpw):
+        e, m0, m1 = get("e", "mu0", "mu1")
+        t1, t2, t3, t4 = kind.spec.theta
+        weight = t1 * w + t2 * e + t3 * w * e + t4 * e * e
+        aug = m0 + (t2 + t4 * e) * (m1 - m0)
+        pre = e**kind.spec.nu1 * (1.0 - e) ** kind.spec.nu2
+        return pre * (weight * tau - (w - e) * (y - aug))
+    if isinstance(kind, OneSidedControl):
+        e, m0 = get("e", "mu0")
+        return w * tau - (w - e) * (y - m0) / (1.0 - e)
+    if isinstance(kind, OneSidedTreated):
+        e, m1 = get("e", "mu1")
+        return (1.0 - w) * tau - (w - e) * (y - m1) / e
+    if isinstance(kind, WeightedAipw):
+        e, m0, m1 = get("e", "mu0", "mu1")
+        return (
+            e * (1.0 - e) * tau
+            - e * (1.0 - e) * (m1 - m0)
+            - (w - e) * (y - w * m1 - (1.0 - w) * m0)
+        )
+    if isinstance(kind, StabilizedAipw):
+        e, m0, m1 = get("e", "mu0", "mu1")
+        r = 0.5 if nuis.r is None else float(nuis.r(x))
+        stab = r * (1.0 - r)
+        aipw = (w - e) * (y - w * m1 - (1.0 - w) * m0) / (e * (1.0 - e))
+        return stab * (tau - (m1 - m0) - aipw)
+    if isinstance(kind, HybridRegion):
+        e, m0, m1, r = get("e", "mu0", "mu1", "r")
+        weight = w * r + (1.0 - w) * (1.0 - r)
+        stilde = r / (1.0 - e) + (1.0 - r) / e
+        return weight * tau - stilde * (w - e) * (y - r * m0 - (1.0 - r) * m1)
+    if isinstance(kind, RobinsonClassic):
+        e, eta = get("e", "eta")
+        return (w - e) ** 2 * tau - (w - e) * (y - eta)
+    if isinstance(kind, SrpNoPropensity):
+        m0, m1 = get("mu0", "mu1")
+        t1, t2 = kind.theta1, kind.theta2
+        return (t1 * w + t2 * (w - 1.0)) * tau - (t1 + t2) * y + t1 * m0 + t2 * m1
+    if isinstance(kind, SrpCustom):
+        return kind.psi1(x, w) * tau - kind.psi2(x, w) * y - kind.psi3(x, w)
+    assert isinstance(kind, MultivaluedCac)
+    phis = {wt: float(nuis.phi(wt, x)) for wt in kind.treatments}
+    stab = math.prod(phis.values()) if kind.stabilizer is None else float(kind.stabilizer(x))
+    acc = 0.0
+    for wt, kap in zip(kind.treatments, kind.kappa):
+        g = float(nuis.gamma(wt, x))
+        ind = 1.0 if w == wt else 0.0
+        acc += kap * (g + ind / phis[wt] * (y - g))
+    return stab * (acc - tau)
+
+
+def _former_terms(kind, x, tau, nuis, design):
+    """The summands of the former conditional mean, one per arm."""
+    return [
+        design.lam_at(x, w) * _former_value(kind, design.mu_at(x, w), w, x, tau, nuis)
+        for w in design.treatments
+    ]
+
+
+def _former_srp_conditions(kind, x, design):
+    """The former three sums, returned with all their summands."""
+    lam = [design.lam_at(x, w) for w in design.treatments]
+    psi1 = [l * kind.psi1(x, w) for l, w in zip(lam, design.treatments)]
+    psi2_mu = [l * kind.psi2(x, w) * design.mu_at(x, w) for l, w in zip(lam, design.treatments)]
+    psi3 = [l * kind.psi3(x, w) for l, w in zip(lam, design.treatments)]
+    e_psi1 = math.fsum(psi1)
+    defect = e_psi1 * design.tau(x) - math.fsum(psi2_mu) - math.fsum(psi3)
+    return (e_psi1, defect), psi1 + psi2_mu + psi3
+
+
+def _assert_rounding_close(new, former, terms):
+    # A single residual value counts as one term.
+    tol = 1e-12 * (1.0 + math.fsum(abs(t) for t in terms))
+    assert abs(new - former) <= tol, (new, former, tol)
+
+
+def _probe_nuisances(design, r):
+    """The true nuisances and the three misspecifications of dr_probe."""
+    truth = design.true_nuisances(r=r)
+    wrong_mu0, wrong_mu1 = _wrong_mu(design)
+    wrong_eta = lambda x: design.e(x) * wrong_mu1(x) + (1.0 - design.e(x)) * wrong_mu0(x)
+    mu_subst = dict(mu0=wrong_mu0, mu1=wrong_mu1, eta=wrong_eta)
+    wrong_e = _wrong_e(design)
+    return [
+        truth,
+        truth.replace(**mu_subst),
+        truth.replace(e=wrong_e),
+        truth.replace(e=wrong_e, **mu_subst),
+    ]
+
+
+SHIFTS = (-1.5, 0.0, 0.8, 2.0)
+
+
+class TestMatchesFormerFormulas:
+    @pytest.mark.parametrize("design_name", ["moderate", "extreme", "grid"])
+    def test_mean_kinds(self, design_name, request):
+        design = request.getfixturevalue(f"design_{design_name}")
+        for kind, region in _mean_kinds(design):
+            for nuis in _probe_nuisances(design, region):
+                for x in design.points:
+                    for shift in SHIFTS:
+                        tau = design.tau(x) + shift
+                        terms = _former_terms(kind, x, tau, nuis, design)
+                        new = conditional_mean(kind, x, tau, nuis, design)
+                        _assert_rounding_close(new, math.fsum(terms), terms)
+                        for w in design.treatments:
+                            for y in (design.mu_at(x, w), -3.5, 6.25):
+                                former = _former_value(kind, y, w, x, tau, nuis)
+                                _assert_rounding_close(kind.value(y, w, x, tau, nuis), former, [former])
+
+    def test_contrasts_on_three_arms(self, design_three_arm):
+        design = design_three_arm
+        truth = design.true_cac_nuisances()
+        nuisances = [
+            truth,
+            CacNuisances(phi=truth.phi, gamma=lambda w, x: truth.gamma(w, x) + 0.4),
+            CacNuisances(phi=lambda w, x: 0.5 * truth.phi(w, x) + 0.15, gamma=truth.gamma),
+        ]
+        kinds = [
+            MultivaluedCac(treatments=(0, 1, 2), kappa=(1.0, -2.0, 1.0)),
+            MultivaluedCac(treatments=(0, 2), kappa=(-1.0, 1.0), stabilizer=lambda x: 0.05, bound=1.0),
+        ]
+        for kind in kinds:
+            for nuis in nuisances:
+                for x in design.points:
+                    for shift in SHIFTS:
+                        theta = design.theta(x, kind.treatments, kind.kappa) + shift
+                        terms = _former_terms(kind, x, theta, nuis, design)
+                        new = conditional_mean(kind, x, theta, nuis, design)
+                        _assert_rounding_close(new, math.fsum(terms), terms)
+
+    @pytest.mark.parametrize("design_name", ["moderate", "extreme", "grid"])
+    def test_srp_conditions(self, design_name, request):
+        design = request.getfixturevalue(f"design_{design_name}")
+        invalid = SrpCustom(
+            psi1=lambda x, w: 1.0 + w * x, psi2=lambda x, w: 0.5 * x, psi3=lambda x, w: w - 2.0
+        )
+        for kind in (_valid_triple(design), invalid):
+            for x in design.points:
+                former, terms = _former_srp_conditions(kind, x, design)
+                for new, old in zip(srp_conditions(kind, x, design), former):
+                    _assert_rounding_close(new, old, terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        y=st.floats(-5, 5),
+        w=st.integers(0, 1),
+        tau=st.floats(-3, 3),
+        e=st.floats(0.05, 0.95),
+        m0=st.floats(-2, 2),
+        m1=st.floats(-2, 2),
+    )
+    def test_value_property(self, y, w, tau, e, m0, m1):
+        design = _single_point_design(e=e, mu0=m0, mu1=m1)
+        contrast = MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0))
+        cases = [(kind, design.true_nuisances(r=region)) for kind, region in _mean_kinds(design)]
+        cases.append((contrast, design.true_cac_nuisances()))
+        for kind, nuis in cases:
+            a, b = kind.coefficients(y, w, 0, nuis)
+            value = kind.value(y, w, 0, tau, nuis)
+            assert value == a * tau - b
+            former = _former_value(kind, y, w, 0, tau, nuis)
+            _assert_rounding_close(value, former, [former])

@@ -35,7 +35,6 @@ from .residuals import (
 
 MOMENT_TOL = 1e-12
 ORTH_TOL = 1e-6
-NON_ORTH_FLOOR = 1e-3
 DR_TOL = 1e-12
 
 

@@ -61,17 +61,21 @@ class Dataset:
 
     ``x`` holds dense 0-based stratum codes in finite mode, or a float
     array (n,) or (n, p) of covariates in large mode. ``x_labels`` maps
-    dense codes back to the original stratum labels. ``from_arrays``
-    copies its inputs and stores them read-only.
+    dense codes back to the original stratum labels; a Dataset holds
+    them exactly when it is finite. ``from_arrays`` copies its inputs
+    and stores them read-only.
     """
 
     y: np.ndarray
     w: np.ndarray
     x: np.ndarray
     treatments: tuple[int, ...]
-    mode: str
     x_labels: np.ndarray | None = None
     propensity: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        return LARGE if self.x_labels is None else FINITE
 
     @property
     def n(self) -> int:
@@ -94,58 +98,27 @@ class Dataset:
         treatments: Iterable[int] | None = None,
         propensity: Sequence[float] | None = None,
     ) -> "Dataset":
-        y = np.array(y, dtype=float)
-        w = np.asarray(w)
+        y = _floats(y, "y")
         if y.size == 0:
             raise EmptyDataset()
-        y_finite = np.isfinite(y)
-        if not np.all(y_finite):
-            raise NonFiniteValue(int(np.argmax(~y_finite)) + 1, "y")
-        w_int = _validate_treatments(w)
-        declared = _declare_treatments(w_int, treatments)
+        w = _labels(w, "w", UnknownTreatmentLabel).astype(np.int64)
+        negative = w < 0
+        if np.any(negative):
+            bad = int(np.argmax(negative))
+            raise UnknownTreatmentLabel(int(w[bad]), row=bad + 1)
+        declared = _declare_treatments(w, treatments)
         if mode == FINITE:
-            x_arr = np.asarray(x)
-            if not np.issubdtype(x_arr.dtype, np.integer):
-                x_float = np.asarray(x, dtype=float)
-                finite = np.isfinite(x_float)
-                if not np.all(finite):
-                    raise NonFiniteValue(int(np.argmax(~finite)) + 1, "x")
-                fractional = x_float != np.round(x_float)
-                if np.any(fractional):
-                    row = int(np.argmax(fractional)) + 1
-                    raise DataError(
-                        f"stratum label {x_float[row - 1]!r} at data row {row} is not an integer"
-                    )
-                x_arr = x_float.astype(np.int64)
-            labels, codes = np.unique(x_arr, return_inverse=True)
-            dataset_x = codes.astype(np.int64)
-            x_labels = labels
+            x_labels, x = np.unique(_labels(x, "x", _fractional_stratum), return_inverse=True)
+            x = x.astype(np.int64)
         elif mode == LARGE:
-            dataset_x = np.array(x, dtype=float)
-            flat = dataset_x.reshape(dataset_x.shape[0], -1)
-            bad = ~np.all(np.isfinite(flat), axis=1)
-            if np.any(bad):
-                raise NonFiniteValue(int(np.argmax(bad)) + 1, "x")
-            x_labels = None
+            x, x_labels = _floats(x, "x"), None
         else:
             raise FlavorMismatch(f"unknown dataset mode {mode!r}")
-        e = None
-        if propensity is not None:
-            e = np.array(propensity, dtype=float)
-            if not np.all(np.isfinite(e)):
-                raise NonFiniteValue(int(np.argmax(~np.isfinite(e))) + 1, "propensity")
-        for arr in (y, w_int, dataset_x, x_labels, e):
+        e = None if propensity is None else _floats(propensity, "propensity")
+        for arr in (y, w, x, x_labels, e):
             if arr is not None:
                 arr.flags.writeable = False
-        return cls(
-            y=y,
-            w=w_int,
-            x=dataset_x,
-            treatments=declared,
-            mode=mode,
-            x_labels=x_labels,
-            propensity=e,
-        )
+        return cls(y=y, w=w, x=x, treatments=declared, x_labels=x_labels, propensity=e)
 
     def restrict(self, strata_labels: Iterable) -> "Dataset":
         """Subset to the given original stratum labels (finite mode).
@@ -166,35 +139,55 @@ class Dataset:
         )
 
 
-def _validate_treatments(w: np.ndarray) -> np.ndarray:
-    if np.issubdtype(w.dtype, np.integer):
-        w_int = w.astype(np.int64)
-    else:
-        w_float = np.asarray(w, dtype=float)
-        finite = np.isfinite(w_float)
-        if not np.all(finite):
-            raise NonFiniteValue(int(np.argmax(~finite)) + 1, "w")
-        fractional = w_float != np.round(w_float)
-        if np.any(fractional):
-            bad = int(np.argmax(fractional))
-            raise UnknownTreatmentLabel(w_float[bad], row=bad + 1)
-        w_int = w_float.astype(np.int64)
-    if np.any(w_int < 0):
-        bad = int(np.argmax(w_int < 0))
-        raise UnknownTreatmentLabel(int(w_int[bad]), row=bad + 1)
-    return w_int
+def _floats(values, column: str) -> np.ndarray:
+    """A float copy of one column, (n,) or (n, p) for a covariate block.
+    The first row holding a non-finite value raises ``NonFiniteValue``."""
+    arr = np.array(values, dtype=float)
+    finite = np.isfinite(arr)
+    if not np.all(finite):
+        # argmax indexes the flattened array; a row spans shape[1:] of it.
+        row = int(np.argmax(~finite)) // math.prod(arr.shape[1:])
+        raise NonFiniteValue(row + 1, column)
+    return arr
+
+
+def _labels(values, column: str, non_integer) -> np.ndarray:
+    """Integer labels of one column: an integer array as it is, anything
+    else read by ``_floats`` and then required to be whole, where
+    ``non_integer(value, row)`` is the error for the first that is not."""
+    arr = np.asarray(values)
+    if np.issubdtype(arr.dtype, np.integer):
+        return arr
+    arr = _floats(arr, column)
+    fractional = arr != np.round(arr)
+    if np.any(fractional):
+        bad = int(np.argmax(fractional))
+        raise non_integer(arr[bad], bad + 1)
+    return arr.astype(np.int64)
+
+
+def _fractional_stratum(label, row: int) -> DataError:
+    return DataError(f"stratum label {label!r} at data row {row} is not an integer")
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for an array without NaN, signed zeros included."""
+    # Not np.unique: without a return_* flag it probes np.ma.is_masked,
+    # which imports numpy.ma on first use, a cost paid by every CLI step.
+    s = np.sort(a, axis=None)
+    keep = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def _declare_treatments(w: np.ndarray, treatments) -> tuple[int, ...]:
-    observed = set(int(v) for v in np.unique(w))
+    observed = _sorted_unique(w).tolist()
     if treatments is None:
-        return tuple(sorted(observed))
+        return tuple(observed)
     declared = tuple(sorted(int(t) for t in treatments))
-    extra = observed - set(declared)
+    extra = sorted(set(observed) - set(declared))
     if extra:
-        label = sorted(extra)[0]
-        row = int(np.argmax(w == label)) + 1
-        raise UnknownTreatmentLabel(label, row=row)
+        raise UnknownTreatmentLabel(extra[0], row=int(np.argmax(w == extra[0])) + 1)
     return declared
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -236,6 +235,8 @@ def wald_ci(fit: GpwFit, contrast: Sequence[float], level: float) -> tuple[float
     _check_psd(fit.sigma)
     center = float(c @ fit.beta)
     spread = float(c @ fit.sigma @ c) / fit.n
+    from statistics import NormalDist  # imports fractions and decimal; only a CI needs it
+
     half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(max(spread, 0.0))
     return (center - half, center + half)
 

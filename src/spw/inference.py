@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, RngHandle, StrataIndex
+from .data import Dataset, RngHandle, StrataIndex, _sorted_unique
 from .errors import ConfigError, StatisticNotLinear
 from .finite_sample import AssignmentModel, _require_strata
 
@@ -64,10 +64,10 @@ class NullGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.unique(np.asarray(self.values, dtype=float))
+        v = np.asarray(self.values, dtype=float)
         if v.size == 0 or not np.all(np.isfinite(v)):
             raise ConfigError("null grid must be nonempty and finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _sorted_unique(v))
 
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "NullGrid":
@@ -208,8 +208,7 @@ def statistic_weights(name: str, w, strata: StrataIndex) -> np.ndarray:
 
 
 def observed_statistic(data: Dataset, strata: StrataIndex, name: str) -> float:
-    q = statistic_weights(name, data.w, strata)
-    return float(np.mean(q * data.y))
+    return float(omega_parts(data, strata, data.w, name)[0, 0])
 
 
 def _require_binary(data: Dataset) -> None:
@@ -226,9 +225,7 @@ def omega_parts(
     with weights evaluated on the simulated assignment; under average
     effect T and multiplier eps a draw's statistic is
     (omega1 + omega2 T) + eps omega2. Each is a row sum, so a row's value
-    does not depend on the other rows; omega1 is ``np.mean``'s
-    arithmetic, as in ``observed_statistic``, so a draw of the observed
-    assignment reproduces t_obs exactly.
+    does not depend on the other rows.
 
     The slope's terms u = Q (W_sim - W) / n are never negative: a weight
     takes the sign of its simulated arm (a_k >= 0 for a treated unit,

@@ -37,6 +37,11 @@ def _require_finite(what: str, *values) -> None:
         raise ConfigError(f"{what} must be finite")
 
 
+def _require_level(v: float) -> None:
+    if not (0.0 < v < 1.0):
+        raise ConfigError("quantile level must lie in (0, 1)")
+
+
 # ---------------------------------------------------------------------------
 # Nuisance containers
 # ---------------------------------------------------------------------------
@@ -95,6 +100,14 @@ class CqrNuisances:
 
     phi: Callable[[int, object], float]
     gamma: Callable[[float, int, object], float]
+
+
+def _phi(nuis, w: int, x) -> float:
+    """The generalized propensity phi(w, x) of a multivalued kind, in (0, 1)."""
+    p = float(nuis.phi(w, x))
+    if not (0.0 < p < 1.0):
+        raise NuisanceOutOfRange("phi", p, (w, x))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +321,7 @@ class MultivaluedCac(_Affine):
         _require_finite("contrast kappa and bound", *self.kappa, self.bound)
 
     def coefficients(self, y, w, x, nuis: CacNuisances) -> tuple[float, float]:
-        phis = {}
-        for wt in self.treatments:
-            p = float(nuis.phi(wt, x))
-            if not (0.0 < p < 1.0):
-                raise NuisanceOutOfRange("phi", p, (wt, x))
-            phis[wt] = p
+        phis = {wt: _phi(nuis, wt, x) for wt in self.treatments}
         prod_phi = math.prod(phis.values())
         stab = prod_phi if self.stabilizer is None else float(self.stabilizer(x))
         if self.bound is not None and stab > self.bound * prod_phi * (1.0 + 1e-12):
@@ -337,16 +345,19 @@ class MultivaluedCqr:
     name = "multivalued_cqr"
 
     def __post_init__(self):
-        if not (0.0 < self.v < 1.0):
-            raise ConfigError("quantile level must lie in (0, 1)")
+        _require_level(self.v)
 
-    def value(self, y, w, x, q, nuis: CqrNuisances) -> float:
-        phi = float(nuis.phi(self.w, x))
-        if not (0.0 < phi < 1.0):
-            raise NuisanceOutOfRange("phi", phi, (self.w, x))
+    def _nuisances(self, x, q, nuis: CqrNuisances) -> tuple[float, float]:
+        """(phi(w, x), gamma(q; w, x)), checked in that order: phi in
+        (0, 1), gamma in [0, 1]."""
+        phi = _phi(nuis, self.w, x)
         g = float(nuis.gamma(q, self.w, x))
         if not (0.0 <= g <= 1.0):
             raise NuisanceOutOfRange("gamma", g, (self.w, x))
+        return phi, g
+
+    def value(self, y, w, x, q, nuis: CqrNuisances) -> float:
+        phi, g = self._nuisances(x, q, nuis)
         ind = 1.0 if w == self.w else 0.0
         below = 1.0 if y <= q else 0.0
         return ind * (below - g) + phi * (g - self.v)
@@ -550,6 +561,7 @@ class DiscreteDesign:
         return math.fsum(p for v, p in zip(values, probs) if v <= u)
 
     def quantile(self, v: float, w: int, x) -> float:
+        _require_level(v)
         values, probs = self._atoms(w, x)
         order = np.argsort(values)
         acc = 0.0
@@ -590,8 +602,7 @@ def conditional_mean(kind, x, tau_tilde: float, nuis, design: DiscreteDesign) ->
     per-arm outcome CDF instead.
     """
     if isinstance(kind, MultivaluedCqr):
-        phi = float(nuis.phi(kind.w, x))
-        g = float(nuis.gamma(tau_tilde, kind.w, x))
+        phi, g = kind._nuisances(x, tau_tilde, nuis)
         total = []
         for w in design.treatments:
             indicator_part = design.cdf(tau_tilde, kind.w, x) - g if w == kind.w else 0.0

@@ -105,7 +105,7 @@ class LargeSampleDgp:
             arr.flags.writeable = False
         treated = int(np.count_nonzero(w))
         observed = tuple(t for t, m in ((0, self.n - treated), (1, treated)) if m)
-        return Dataset(y=y, w=w, x=x, treatments=observed, mode="large", propensity=e)
+        return Dataset(y=y, w=w, x=x, treatments=observed, propensity=e)
 
     def study_estimators(self) -> StudyTable:
         """npw (nu = 1, with 95% Wald coverage indicators per coefficient)
@@ -156,9 +156,6 @@ class FiniteSampleDgp:
     def true_ate(self) -> float:
         return 10.0
 
-    def lam1_by_stratum(self) -> np.ndarray:
-        return np.array([self.lam1, 1.0 - self.lam1])
-
     def response_bounds(self) -> dict[int, tuple[float, float]]:
         # Outcome supports: Y*_0 in 10 +/- 2(1+X), Y*_1 in 20 +/- (2(1+X)+(1+2X)).
         return {0: (6.0, 14.0), 1: (13.0, 27.0)}
@@ -189,7 +186,7 @@ class FiniteSampleDgp:
         y = 10.0 + a * u1 + w * (10.0 + b * u2)
         for arr in (y, w):
             arr.flags.writeable = False
-        return Dataset(y=y, w=w, x=x, treatments=(0, 1), mode="finite", x_labels=labels)
+        return Dataset(y=y, w=w, x=x, treatments=(0, 1), x_labels=labels)
 
     def study_estimators(self) -> StudyTable:
         """The pooled set-estimator (its midpoint, bounds and an interval

@@ -890,7 +890,7 @@ class TestStrictJson:
         assert (allowed > 0) == (run == "simulate-one-success")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(large_csv, finite_csv, tmp_path):
     src = str(Path(spw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, spw.cli; print('scipy' in sys.modules)"
@@ -898,3 +898,29 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+    # Nor does estimate or test load numpy.ma (np.unique's hash path probes
+    # for a masked array), and test does not load statistics either: only
+    # estimate's Wald intervals need NormalDist. numpy 1.24 imports
+    # numpy.ma with numpy itself, so only the modules main() adds count.
+    probe = (
+        "import json, sys, numpy, spw.cli; before = set(sys.modules); "
+        "code = spw.cli.main(sys.argv[1:]); "
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+    )
+    runs = {
+        ("numpy.ma",): ["estimate", "--data", str(large_csv), "--out", str(tmp_path / "fit")],
+        ("numpy.ma", "statistics"): [
+            "test", "--data", str(finite_csv), "--grid", "0:20:1",
+            "--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9",
+            "--draws", "50", "--out", str(tmp_path / "test"),
+        ],
+    }
+    for unloaded, argv in runs.items():
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        status, added = json.loads(done.stdout.splitlines()[-1])
+        assert status == 0, argv[0]
+        loaded = [m for m in added if any(m == u or m.startswith(u + ".") for u in unloaded)]
+        assert loaded == [], argv[0]

@@ -1,5 +1,7 @@
 """Tests for dataset ingestion, strata indexing, and RNG streams."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from spw import data as spw_data
 from spw.data import Dataset, RngHandle, build_strata, load_csv, write_csv
 from spw.errors import (
     SpwError,
+    DataError,
     EmptyDataset,
     FlavorMismatch,
     MissingColumn,
@@ -247,6 +250,58 @@ class TestMisc:
         with pytest.raises(UnknownTreatmentLabel) as err:
             Dataset.from_arrays([1.0, 2.0, 3.0], w, [1, 1, 1])
         assert (err.value.label, err.value.row) == (-3, 3)
+
+    @pytest.mark.parametrize(
+        "column, mode, bad, error, row, name",
+        [
+            ("y", "finite", [1.0, np.nan, 3.0], NonFiniteValue, 2, "y"),
+            ("y", "large", [-np.inf, 2.0, np.inf], NonFiniteValue, 1, "y"),
+            ("w", "finite", [1.0, 0.0, np.inf], NonFiniteValue, 3, "w"),
+            ("w", "large", [1.0, np.nan, 0.5], NonFiniteValue, 2, "w"),
+            ("w", "finite", [1.0, 0.0, 2.5], UnknownTreatmentLabel, 3, None),
+            ("w", "large", [1, -2, -3], UnknownTreatmentLabel, 2, None),
+            ("x", "finite", [1.0, np.nan, 1.0], NonFiniteValue, 2, "x"),
+            ("x", "finite", [1.0, 1.0, -np.inf], NonFiniteValue, 3, "x"),
+            ("x", "finite", [1.0, 1.5, 2.0], DataError, 2, None),
+            ("x", "finite", [1.0, 1.5, np.nan], NonFiniteValue, 3, "x"),
+            ("x", "large", [0.1, np.inf, np.nan], NonFiniteValue, 2, "x"),
+            ("x", "large", [[0.1, 0.2], [0.3, 0.4], [0.5, np.nan]], NonFiniteValue, 3, "x"),
+            ("x", "large", [[0.1, 0.2], [-np.inf, 0.4], [np.nan, 0.6]], NonFiniteValue, 2, "x"),
+            ("propensity", "large", [0.5, 0.5, np.nan], NonFiniteValue, 3, "propensity"),
+            ("propensity", "large", [np.inf, 0.5, 0.5], NonFiniteValue, 1, "propensity"),
+        ],
+        ids=[
+            "y-nan", "y-inf", "w-inf", "w-nan", "w-fractional", "w-negative",
+            "finite-x-nan", "finite-x-inf", "finite-x-fractional", "finite-x-nan-first",
+            "large-x-inf",
+            "large-x-2d-nan", "large-x-2d-inf", "propensity-nan", "propensity-inf",
+        ],
+    )
+    def test_bad_column_named(self, column, mode, bad, error, row, name):
+        # One case per column that from_arrays reads; each names the first
+        # bad data row, and the column where the error type carries one.
+        args = dict(y=[1.0, 2.0, 3.0], w=[1, 0, 1], x=[1, 1, 1], propensity=None)
+        if mode == "large":
+            args["x"] = [0.1, 0.2, 0.3]
+        args[column] = bad
+        with pytest.raises(error) as err:
+            Dataset.from_arrays(
+                args["y"], args["w"], args["x"], mode=mode, propensity=args["propensity"]
+            )
+        assert type(err.value) is error
+        assert f"at data row {row} " in f"{err.value} "
+        assert getattr(err.value, "column", None) == name
+
+    @pytest.mark.parametrize("mode", ["finite", "large"])
+    def test_mode_follows_stratum_labels(self, mode):
+        # mode is read off x_labels, so the constructor takes no mode and
+        # a finite Dataset cannot lack its labels.
+        data = Dataset.from_arrays([1.0, 2.0], [1, 0], [1, 1], mode=mode)
+        assert data.mode == mode
+        assert (data.x_labels is None) == (mode == "large")
+        assert [f.name for f in fields(Dataset)] == [
+            "y", "w", "x", "treatments", "x_labels", "propensity"
+        ]
 
 
 def _random_doubles(seed, n=200):

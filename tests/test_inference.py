@@ -813,6 +813,23 @@ class TestHetAndGrid:
         grid = NullGrid(np.array([3.0, 1.0, 1.0, 2.0]))
         np.testing.assert_array_equal(grid.values, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [2.0, -0.0, 1.0, 0.0, -0.0, 2.0],
+            [[1.0, 0.0], [-0.0, 1.0]],
+            np.round(np.random.default_rng(4).normal(size=500), 1) * np.repeat([1.0, -1.0], 250),
+        ],
+        ids=["zero-first", "negative-zero-first", "mixed", "two-d", "drawn"],
+    )
+    def test_grid_dedup_matches_np_unique(self, values):
+        # The grid is deduplicated without np.unique; the values it keeps,
+        # and the sign of each zero, must still be np.unique's.
+        got = NullGrid(np.array(values)).values
+        assert got.tobytes() == np.unique(np.array(values, dtype=float)).tobytes()
+
     def test_grid_from_range_inclusive(self):
         grid = NullGrid.from_range(0.0, 1.0, 0.25)
         np.testing.assert_allclose(grid.values, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -640,9 +640,36 @@ class TestCqrResidual:
         with pytest.raises(NuisanceOutOfRange):
             kind.value(1.0, 1, "a", 0.0, nuis)
 
+    @pytest.mark.parametrize(
+        "phi, gamma, name", [(1.7, 0.5, "phi"), (0.5, -0.4, "gamma"), (1.7, -0.4, "phi")]
+    )
+    def test_conditional_mean_checks_nuisance_ranges(self, phi, gamma, name):
+        # conditional_mean used to read phi and gamma unchecked, and
+        # returned a mean where value raises.
+        design = DiscreteDesign.binary(
+            points=(0,), masses=(1.0,), e=(0.5,), mu0=(1.0,), mu1=(2.0,),
+            outcome_dists={(0, 0): ((0.0, 2.0), (0.5, 0.5)), (1, 0): ((1.0, 3.0), (0.5, 0.5))},
+        )
+        kind = MultivaluedCqr(v=0.5, w=1)
+        nuis = CqrNuisances(phi=lambda w, x: phi, gamma=lambda u, w, x: gamma)
+        for probe in (
+            lambda: kind.value(1.0, 1, 0, 1.0, nuis),
+            lambda: conditional_mean(kind, 0, 1.0, nuis, design),
+        ):
+            with pytest.raises(NuisanceOutOfRange, match=rf"nuisance {name}\(\(1, 0\)\)"):
+                probe()
+
     def test_level_domain(self):
         with pytest.raises(ConfigError):
             MultivaluedCqr(v=0.0, w=1)
+
+    @pytest.mark.parametrize("v", [float("nan"), 1.5, -3.0, 0.0, 1.0])
+    def test_design_quantile_level_domain(self, v, design_atoms):
+        # DiscreteDesign.quantile used to accept any level: NaN and 1.5
+        # gave 3.0, and -3 gave 1.0, on the (1, 1) cell.
+        for probe in (lambda: MultivaluedCqr(v=v, w=1), lambda: design_atoms.quantile(v, 1, 1)):
+            with pytest.raises(ConfigError, match=r"quantile level must lie in \(0, 1\)"):
+                probe()
 
     def test_value_integrates_to_the_closed_form(self, design_atoms):
         # conditional_mean has its own closed form for this kind; the

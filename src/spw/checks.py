@@ -159,127 +159,88 @@ def _worst(magnitudes) -> float:
     return float(np.max(magnitudes))
 
 
-def _moment_zero_magnitude(kind, design, r) -> float:
-    truth = design.true_nuisances(r=r)
-    return _worst(
-        [abs(conditional_mean(kind, x, design.tau(x), truth, design)) for x in design.points]
-    )
+_THRESHOLDS = {"moment_zero": MOMENT_TOL, "orthogonality": ORTH_TOL, "bdr": DR_TOL, "gdr": DR_TOL}
+_DIRECTIONS = (
+    Perturbation(h_e=0.1, h_mu0=0.05, h_mu1=-0.08, h_eta=0.05),
+    Perturbation(h_e=-0.05, h_mu0=0.1, h_mu1=0.1, h_eta=-0.1),
+)
+_SHIFTS = (-1.5, 0.8, 2.0)
 
 
-def _orthogonality_magnitude(kind, design, r) -> float:
-    truth = design.true_nuisances(r=r)
-    directions = [
-        Perturbation(h_e=0.1, h_mu0=0.05, h_mu1=-0.08, h_eta=0.05),
-        Perturbation(h_e=-0.05, h_mu0=0.1, h_mu1=0.1, h_eta=-0.1),
-    ]
-    vals = []
-    for x in design.points:
-        for direction in directions:
-            vals.append(abs(gateaux_derivative(kind, x, truth, direction, design, h=1e-4)))
-    return _worst(vals)
+def _magnitudes(kind, designs) -> dict[str, float]:
+    """The worst magnitude of each property of ``kind`` over ``designs``.
 
-
-def _bdr_magnitude(kind, design, r) -> float:
-    wrong_e, wrong_mu = _wrong_functions(design)
-    probe = dr_probe(kind, design, design.tau, wrong_e, wrong_mu, r=r)
-    return _worst(np.abs([probe.true_e_wrong_mu, probe.wrong_e_true_mu]))
-
-
-def _gdr_magnitude(kind, design, r) -> float:
-    wrong_e, wrong_mu = _wrong_functions(design)
-    gaps = []
-    for shift in (-1.5, 0.8, 2.0):
-        probe = dr_probe(
-            kind,
-            design,
-            lambda x, s=shift: design.tau(x) + s,
-            wrong_e,
-            wrong_mu,
-            r=r,
-        )
-        gaps.append(probe.true_e_wrong_mu - probe.reference)
-        gaps.append(probe.wrong_e_true_mu - probe.reference)
-    return _worst(np.abs(gaps))
+    A contrast kind is probed for moment zero only: it reads its own
+    nuisances (phi, gamma), which the other probes do not perturb.
+    Orthogonality is probed on the moderate-overlap designs, the first
+    and the third: the central-difference error is O(h^2) with a
+    constant that grows like 1/e^2 for kinds dividing by the propensity,
+    so the fixed step cannot resolve the (exactly zero) derivative at
+    e = 0.001.
+    """
+    if isinstance(kind, MultivaluedCac):
+        moment = []
+        for d in designs:
+            nuis = d.true_cac_nuisances()
+            for x in d.points:
+                theta = d.theta(x, kind.treatments, kind.kappa)
+                moment.append(abs(conditional_mean(kind, x, theta, nuis, d)))
+        return {"moment_zero": _worst(moment)}
+    found = {prop: [] for prop in _THRESHOLDS}
+    for i, d in enumerate(designs):
+        r = region_for(d) if isinstance(kind, HybridRegion) else None
+        truth = d.true_nuisances(r=r)
+        wrong_e, wrong_mu = _wrong_functions(d)
+        found["moment_zero"] += [
+            abs(conditional_mean(kind, x, d.tau(x), truth, d)) for x in d.points
+        ]
+        if i in (0, 2):
+            found["orthogonality"] += [
+                abs(gateaux_derivative(kind, x, truth, direction, d, h=1e-4))
+                for x in d.points
+                for direction in _DIRECTIONS
+            ]
+        probe = dr_probe(kind, d, d.tau, wrong_e, wrong_mu, r=r)
+        found["bdr"] += [*abs(probe.true_e_wrong_mu), *abs(probe.wrong_e_true_mu)]
+        for shift in _SHIFTS:
+            probe = dr_probe(kind, d, lambda x, s=shift: d.tau(x) + s, wrong_e, wrong_mu, r=r)
+            found["gdr"] += [*abs(probe.true_e_wrong_mu - probe.reference)]
+            found["gdr"] += [*abs(probe.wrong_e_true_mu - probe.reference)]
+    return {prop: _worst(magnitudes) for prop, magnitudes in found.items()}
 
 
 def check_suite(extra_kinds: dict[str, object] | None = None) -> CheckReport:
     """Run all probes over the shipped designs and collect a report.
 
-    The orthogonality probe runs only on the moderate-overlap designs:
-    the central-difference error is O(h^2) with a constant that grows
-    like 1/e^2 for kinds dividing by the propensity, so the fixed step
-    cannot resolve the (exactly zero) derivative at e = 0.001.
-
-    ``extra_kinds`` (name -> kind) are probed informationally: their
-    rows always count as matching expectations, since a user-supplied
-    kind carries no property contract.
+    Rows come in this order: the built-in binary kinds, the binary
+    ``extra_kinds``, ``multivalued_cac``, then the contrast
+    ``extra_kinds``. ``extra_kinds`` (name -> kind) are checked before
+    any probe runs and probed informationally: their rows always count
+    as matching expectations, since a user-supplied kind carries no
+    property contract.
     """
-    designs = builtin_designs()
-    moderate = (designs[0], designs[2])
-    rows = []
-    suite = dict(check_kinds())
-    informational = set()
-    cac_extras = {}
+    suite = {name: (kind, False) for name, kind in check_kinds().items()}
+    contrasts = {"multivalued_cac": (MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0)), False)}
     for name, kind in (extra_kinds or {}).items():
-        display = f"user:{name}"
         if isinstance(kind, MultivaluedCqr):
             raise ConfigError("quantile kinds need outcome atoms; not probeable here")
-        if isinstance(kind, MultivaluedCac):
-            cac_extras[display] = kind
-            informational.add(display)
-            continue
-        suite[display] = kind
-        informational.add(display)
-    for name, kind in suite.items():
-        regions = {d: region_for(d) if isinstance(kind, HybridRegion) else None for d in designs}
-        measures = {
-            "moment_zero": _worst([_moment_zero_magnitude(kind, d, regions[d]) for d in designs]),
-            "orthogonality": _worst(
-                [_orthogonality_magnitude(kind, d, regions[d]) for d in moderate]
-            ),
-            "bdr": _worst([_bdr_magnitude(kind, d, regions[d]) for d in designs]),
-            "gdr": _worst([_gdr_magnitude(kind, d, regions[d]) for d in designs]),
-        }
-        thresholds = {
-            "moment_zero": MOMENT_TOL,
-            "orthogonality": ORTH_TOL,
-            "bdr": DR_TOL,
-            "gdr": DR_TOL,
-        }
-        for prop, magnitude in measures.items():
-            passed = magnitude <= thresholds[prop]
-            expected = passed if name in informational else name not in EXPECTED_FAILURES[prop]
+        if isinstance(kind, MultivaluedCac) and any(w not in (0, 1) for w in kind.treatments):
+            raise ConfigError("built-in designs are binary; contrast must use {0, 1}")
+        (contrasts if isinstance(kind, MultivaluedCac) else suite)[f"user:{name}"] = (kind, True)
+    suite.update(contrasts)
+    designs = builtin_designs()
+    rows = []
+    for name, (kind, informational) in suite.items():
+        for prop, magnitude in _magnitudes(kind, designs).items():
+            passed = magnitude <= _THRESHOLDS[prop]
             rows.append(
                 CheckRow(
                     kind=name,
                     prop=prop,
                     magnitude=magnitude,
-                    threshold=thresholds[prop],
+                    threshold=_THRESHOLDS[prop],
                     passed=passed,
-                    expected_pass=expected,
+                    expected_pass=passed if informational else name not in EXPECTED_FAILURES[prop],
                 )
             )
-    # Contrast residuals: moment-zero only (other probes use different nuisances).
-    cac_suite = {"multivalued_cac": MultivaluedCac(treatments=(0, 1), kappa=(-1.0, 1.0))}
-    cac_suite.update(cac_extras)
-    for name, cac in cac_suite.items():
-        if any(w not in (0, 1) for w in cac.treatments):
-            raise ConfigError("built-in designs are binary; contrast must use {0, 1}")
-        magnitudes = []
-        for design in designs:
-            nuis = design.true_cac_nuisances()
-            for x in design.points:
-                theta = design.theta(x, cac.treatments, cac.kappa)
-                magnitudes.append(abs(conditional_mean(cac, x, theta, nuis, design)))
-        worst = _worst(magnitudes)
-        rows.append(
-            CheckRow(
-                kind=name,
-                prop="moment_zero",
-                magnitude=worst,
-                threshold=MOMENT_TOL,
-                passed=worst <= MOMENT_TOL,
-                expected_pass=worst <= MOMENT_TOL if name in informational else True,
-            )
-        )
     return CheckReport(rows=tuple(rows))

@@ -24,7 +24,7 @@ from .data import Dataset, RngHandle, build_strata, load_csv
 from .errors import ConfigError, DataError, DegenerateSamples, NumericError, TooFewSamples
 from .finite_sample import FsConfig, fpw_set
 from .gpw import BasisSpec, gpw_estimate, pate_estimate, wald_ci
-from .inference import HetBounds, ModelClass, NullGrid, confidence_set, pvalue_bounds
+from .inference import STATISTICS, HetBounds, ModelClass, NullGrid, confidence_set, pvalue_bounds
 from .residuals import residual_from_json
 from .simulate import FiniteSampleDgp, LargeSampleDgp, density_summary, run_study
 
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--lambda-box", action="append", default=None, metavar="k=K:LO,HI")
     p_test.add_argument("--resolution", type=int, default=5)
     p_test.add_argument("--draws", type=int, default=2000)
-    p_test.add_argument("--statistic", choices=("t_hat", "wmd", "ipw"), default="t_hat")
+    p_test.add_argument("--statistic", choices=STATISTICS, default="t_hat")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.set_defaults(func=cmd_test)
 

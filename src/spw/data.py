@@ -101,20 +101,23 @@ class Dataset:
         y = _floats(y, "y")
         if y.size == 0:
             raise EmptyDataset()
-        w = _labels(w, "w", UnknownTreatmentLabel).astype(np.int64)
+        w = _labels(w, "w", UnknownTreatmentLabel)
         negative = w < 0
         if np.any(negative):
             bad = int(np.argmax(negative))
             raise UnknownTreatmentLabel(int(w[bad]), row=bad + 1)
         declared = _declare_treatments(w, treatments)
         if mode == FINITE:
-            x_labels, x = np.unique(_labels(x, "x", _fractional_stratum), return_inverse=True)
+            x_labels, x = np.unique(_labels(x, "x", _bad_stratum), return_inverse=True)
             x = x.astype(np.int64)
         elif mode == LARGE:
             x, x_labels = _floats(x, "x"), None
         else:
             raise FlavorMismatch(f"unknown dataset mode {mode!r}")
         e = None if propensity is None else _floats(propensity, "propensity")
+        for column, arr in (("w", w), ("x", x), ("propensity", e)):
+            if arr is not None and _rows(arr) != _rows(y):
+                raise DataError(f"column {column!r} has {_rows(arr)} rows where y has {_rows(y)}")
         for arr in (y, w, x, x_labels, e):
             if arr is not None:
                 arr.flags.writeable = False
@@ -151,23 +154,32 @@ def _floats(values, column: str) -> np.ndarray:
     return arr
 
 
+def _rows(arr: np.ndarray) -> int:
+    """The length of a column's first axis; a scalar has no rows."""
+    return arr.shape[0] if arr.ndim else 0
+
+
 def _labels(values, column: str, non_integer) -> np.ndarray:
-    """Integer labels of one column: an integer array as it is, anything
-    else read by ``_floats`` and then required to be whole, where
-    ``non_integer(value, row)`` is the error for the first that is not."""
+    """Integer labels of one column as int64. An integer array keeps its
+    values; anything else is read by ``_floats`` and must be whole. A label
+    outside the int64 range would wrap, so it is refused as well:
+    ``non_integer(value, row)`` is the error for the first bad one."""
     arr = np.asarray(values)
     if np.issubdtype(arr.dtype, np.integer):
-        return arr
-    arr = _floats(arr, column)
-    fractional = arr != np.round(arr)
-    if np.any(fractional):
-        bad = int(np.argmax(fractional))
-        raise non_integer(arr[bad], bad + 1)
+        bad = arr > np.iinfo(np.int64).max  # only uint64 holds such labels
+    else:
+        arr = _floats(arr, column)
+        bad = (arr != np.round(arr)) | (arr < -(2.0**63)) | (arr >= 2.0**63)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise non_integer(arr.flat[i].item(), i + 1)
     return arr.astype(np.int64)
 
 
-def _fractional_stratum(label, row: int) -> DataError:
-    return DataError(f"stratum label {label!r} at data row {row} is not an integer")
+def _bad_stratum(label, row: int) -> DataError:
+    return DataError(
+        f"stratum label {label!r} at data row {row} is not an integer in the int64 range"
+    )
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from spw.checks import check_suite
+from spw.checks import check_kinds, check_suite
 from spw.errors import ConfigError
 from spw.residuals import (
     Gnpw,
@@ -67,6 +67,62 @@ class TestCheckSuite:
         assert [r.prop for r in rows] == ["moment_zero", "orthogonality", "bdr", "gdr"]
         for r in rows:
             assert math.isnan(r.magnitude) and not r.passed, r
+
+    # Expected pass of moment_zero, orthogonality, bdr and gdr, in row order.
+    EXPECTED = {
+        "gnpw(npw)": "PPPF",
+        "gnpw(robinson-dr)": "PPPF",
+        "gnpw(one-sided)": "PPPF",
+        "gnpw(half)": "PPPF",
+        "one_sided_control": "PPPP",
+        "one_sided_treated": "PPPP",
+        "weighted_aipw": "PPPF",
+        "stabilized_aipw": "PPPP",
+        "hybrid_region": "PPPP",
+        "robinson": "PPFF",
+        "srp_no_propensity": "PFFF",
+    }
+    PROPS = ("moment_zero", "orthogonality", "bdr", "gdr")
+
+    def test_rows_pinned(self):
+        expected = [
+            (kind, prop, flag == "P")
+            for kind, flags in self.EXPECTED.items()
+            for prop, flag in zip(self.PROPS, flags)
+        ] + [("multivalued_cac", "moment_zero", True)]
+        got = [(r.kind, r.prop, r.expected_pass) for r in check_suite().rows]
+        assert got == expected
+
+    def test_user_rows_placed_by_kind(self):
+        # Binary user kinds follow the built-in binary kinds in the order
+        # given; contrast user kinds come last, after multivalued_cac.
+        extra = {
+            "c": MultivaluedCac(treatments=(0, 1), kappa=(-2.0, 2.0)),
+            "g": Gnpw(GnpwSpec(nu1=2.0, theta=(0.0, 1.0, 0.0, -1.0))),
+            "nan": SrpCustom(
+                psi1=lambda x, w: w,
+                psi2=lambda x, w: 1.0,
+                psi3=lambda x, w: math.nan if x == 2 else 0.0,
+            ),
+        }
+        got = [(r.kind, r.prop) for r in check_suite(extra_kinds=extra).rows]
+        builtin = [(kind, prop) for kind in check_kinds() for prop in self.PROPS]
+        user = [(f"user:{kind}", prop) for kind in ("g", "nan") for prop in self.PROPS]
+        assert got == builtin + user + [
+            ("multivalued_cac", "moment_zero"),
+            ("user:c", "moment_zero"),
+        ]
+
+    def test_user_kinds_validated_before_probing(self):
+        # The bound is broken at every support point, so probing this kind
+        # raises StabilizerBoundViolated; the contrast on (0, 2) is refused
+        # first, before any probe runs.
+        extra = {
+            "tight": StabilizedAipw(bound=1e-9),
+            "wide": MultivaluedCac(treatments=(0, 2), kappa=(-1.0, 1.0)),
+        }
+        with pytest.raises(ConfigError, match="contrast must use"):
+            check_suite(extra_kinds=extra)
 
     def test_render_contains_rows(self):
         text = check_suite().render()

@@ -292,6 +292,57 @@ class TestMisc:
         assert f"at data row {row} " in f"{err.value} "
         assert getattr(err.value, "column", None) == name
 
+    @pytest.mark.parametrize("rows", [2, 4], ids=["shorter", "longer"])
+    @pytest.mark.parametrize(
+        "column, mode, values",
+        [
+            ("w", "finite", [1, 0, 1, 0]),
+            ("x", "finite", [1, 1, 1, 1]),
+            ("x", "large", np.zeros((4, 1))),
+            ("propensity", "large", [0.5] * 4),
+        ],
+        ids=["w", "finite-x", "large-x", "propensity"],
+    )
+    def test_columns_must_align_with_y(self, column, mode, values, rows):
+        args = dict(w=[1, 0, 1], x=[1, 1, 1], propensity=None)
+        if mode == "large":
+            args["x"], args["propensity"] = np.zeros((3, 1)), [0.5] * 3
+        args[column] = values[:rows]
+        with pytest.raises(DataError) as err:
+            Dataset.from_arrays(
+                [1.0, 2.0, 3.0], args["w"], args["x"], mode=mode, propensity=args["propensity"]
+            )
+        assert str(err.value) == f"column {column!r} has {rows} rows where y has 3"
+
+    @pytest.mark.parametrize(
+        "column, bad, dtype, error",
+        [
+            ("w", 1e300, float, UnknownTreatmentLabel),
+            ("w", 9.3e18, float, UnknownTreatmentLabel),
+            ("w", 2**64 - 1, np.uint64, UnknownTreatmentLabel),
+            ("x", 1e300, float, DataError),
+            ("x", 2.0**63, float, DataError),
+            ("x", 2**63, np.uint64, DataError),
+        ],
+        ids=["w-1e300", "w-9.3e18", "w-uint64-max", "x-1e300", "x-2^63", "x-uint64-2^63"],
+    )
+    def test_label_beyond_int64_rejected(self, column, bad, dtype, error):
+        # Cast to int64 such a label would wrap (1e300 to -2^63, uint64
+        # 2^64 - 1 to -1); it is refused under its own value instead.
+        args = dict(w=[1, 0, 1], x=[1, 1, 1])
+        args[column] = np.array([1, bad, 1], dtype=dtype)
+        with pytest.raises(error) as err:
+            Dataset.from_arrays([1.0, 2.0, 3.0], args["w"], args["x"])
+        assert type(err.value) is error
+        assert f"label {bad!r} " in str(err.value) and "at data row 2" in str(err.value)
+
+    def test_int64_extremes_kept(self):
+        low, high = -(2.0**63), float(2**62)
+        data = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], [low, high, low])
+        assert data.x_labels.tolist() == [-(2**63), 2**62]
+        data = Dataset.from_arrays([1.0, 2.0], [1, 0], np.array([2**63 - 1, 0], dtype=np.uint64))
+        assert data.x_labels.tolist() == [0, 2**63 - 1]
+
     @pytest.mark.parametrize("mode", ["finite", "large"])
     def test_mode_follows_stratum_labels(self, mode):
         # mode is read off x_labels, so the constructor takes no mode and

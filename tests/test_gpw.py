@@ -1,6 +1,8 @@
 """Tests for the large-sample weighting estimators and their covariance."""
 
 import dataclasses
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -633,3 +635,127 @@ class TestMomentKernelMatchesReference:
         if basis.dim > 2:
             expected.add("SingularDesign")
         assert expected <= seen
+
+
+def _exact_inverse(m):
+    """Gauss-Jordan inverse of a small nonsingular matrix of Fractions."""
+    d = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(m)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * p for v, p in zip(rows[r], rows[col])]
+    return [row[d:] for row in rows]
+
+
+def _exact_fit(z, a, b):
+    """(beta, sigma, bread^-1) of E_n[Z (b - a Z'beta)] = 0 and its sandwich,
+    solved exactly over the rationals from the float Z, a and b."""
+    n, d = z.shape
+    zs = [[Fraction(v) for v in row] for row in z.tolist()]
+    az = [[Fraction(ai) * v for v in row] for ai, row in zip(a.tolist(), zs)]
+    bs = [Fraction(v) for v in b.tolist()]
+    bread = [[sum(r[j] * q[k] for r, q in zip(az, zs)) / n for k in range(d)] for j in range(d)]
+    score = [sum(r[j] * bi for r, bi in zip(zs, bs)) / n for j in range(d)]
+    inv = _exact_inverse(bread)
+    beta = [sum(inv[j][k] * score[k] for k in range(d)) for j in range(d)]
+    sq = [(bi - sum(r[k] * beta[k] for k in range(d))) ** 2 for r, bi in zip(az, bs)]
+    meat = [[sum(r[j] * r[k] * s for r, s in zip(zs, sq)) / n for k in range(d)] for j in range(d)]
+    half = [[sum(inv[j][i] * meat[i][k] for i in range(d)) for k in range(d)] for j in range(d)]
+    sigma = [[sum(half[j][i] * inv[i][k] for i in range(d)) for k in range(d)] for j in range(d)]
+    return beta, sigma, inv
+
+
+class TestExactOracle:
+    """Every large-sample fit against the exact rational solution of the
+    moment it solves, with Z, a and b taken as the code forms them.
+
+    The float error is compared with a rounding scale, not with cond*eps
+    alone: the sums behind the bread, the score and the meat round
+    relative to the sizes of their terms, which cancel, and the condition
+    number does not see that. With |B^-1| the entrywise absolute exact
+    bread inverse and beta the exact solution,
+
+        S_beta  = |B^-1| E_n[|Z| (|b| + |a| |Z|'|beta|)]
+        S_sigma = |B^-1| E_n[|Z||Z|' (|b| + |a| |Z|'|beta|)^2] |B^-1|.
+
+    Each beta entry must lie within eps * (n + cond) times its scale: n
+    for the sums of n terms, cond for the solve. Sigma, se**2 and the
+    average effect's variance get twice that, since sigma holds the bread
+    inverse twice and the residual squared.
+    """
+
+    BASES = [BasisSpec.constant(), BasisSpec.linear(), BasisSpec.polynomial(2)]
+    RECIPES = (
+        [(name, nu) for name in ("gpw", "ipw") for nu in (-1.0, 0.0, 1.0, 2.0)]
+        + [(variant, None) for variant in ALT_VARIANTS]
+    )
+
+    @staticmethod
+    def _design(rng, basis):
+        n = int(rng.integers(20, 121))
+        x = rng.uniform(-1.0, 1.0, n)
+        e = 1.0 / (1.0 + np.exp(-rng.uniform(1.0, 25.0) * x))
+        w = (rng.random(n) < e).astype(int)
+        w[:2] = (0, 1)  # both arms present
+        y = rng.normal(0.0, 1.0, n) + 3.0 * x * w
+        return Dataset.from_arrays(y, w, x, mode="large", propensity=e)
+
+    @staticmethod
+    def _scales(z, a, b, beta, inv):
+        inv_abs = np.abs(np.array(inv, dtype=float))
+        size = np.abs(b) + np.abs(a) * (np.abs(z) @ np.abs(np.array(beta, dtype=float)))
+        n = z.shape[0]
+        s_beta = inv_abs @ (np.abs(z) * size[:, None]).mean(axis=0)
+        s_sigma = inv_abs @ ((np.abs(z) * (size**2)[:, None]).T @ np.abs(z) / n) @ inv_abs
+        return s_beta, s_sigma
+
+    @staticmethod
+    def _err(got, exact):
+        return np.array(
+            [float(abs(Fraction(g) - e)) for g, e in zip(np.ravel(got), np.ravel(exact))]
+        ).reshape(np.shape(got))
+
+    def test_fits_within_rounding_of_the_exact_solution(self):
+        rng = np.random.default_rng(2711)
+        eps = np.finfo(float).eps
+        fits = 0
+        for basis in self.BASES:
+            for recipe in self.RECIPES:
+                if recipe[0] == "overlap_weight_wate" and basis.dim > 1:
+                    continue
+                data = self._design(rng, basis)
+                fit = TestMomentKernelMatchesReference._fit(recipe, data, basis)
+                where = (basis.name, recipe, data.n, getattr(fit, "condition", fit))
+                assert isinstance(fit, GpwFit), where
+                z, a, b = _moment(recipe, data, basis)
+                beta, sigma, inv = _exact_fit(z, a, b)
+                s_beta, s_sigma = self._scales(z, a, b, beta, inv)
+                if recipe[0] == "overlap_weight_wate":
+                    # The arm means' contrast (1, -1), taken exactly.
+                    beta = [beta[0] - beta[1]]
+                    sigma = [[sigma[0][0] - sigma[0][1] - sigma[1][0] + sigma[1][1]]]
+                    s_beta, s_sigma = s_beta.sum(keepdims=True), s_sigma.sum(keepdims=True)
+                tol = eps * (data.n + fit.condition)
+                assert np.all(self._err(fit.beta, beta) <= tol * s_beta), where
+                assert np.all(self._err(fit.sigma, sigma) <= 2 * tol * s_sigma), where
+                # se**2 is diag(sigma) / n up to the rounding of the sqrt.
+                se2 = [sigma[j][j] / data.n for j in range(len(beta))]
+                bound = 2 * tol * np.diag(s_sigma) / data.n
+                assert np.all(self._err(fit.se**2, se2) <= bound), where
+                if recipe[0] == "gpw":
+                    zbar = [sum(map(Fraction, col)) / data.n for col in z.T.tolist()]
+                    est = sum(zj * bj for zj, bj in zip(zbar, beta))
+                    var = sum(zj * sum(map(mul, row, zbar)) for zj, row in zip(zbar, sigma))
+                    got = pate_estimate(fit, data, basis)
+                    zabs = np.abs(z).mean(axis=0)
+                    assert self._err(got["estimate"], est) <= tol * (zabs @ s_beta), where
+                    bound = 2 * tol * (zabs @ s_sigma @ zabs) / data.n
+                    assert self._err(got["se"] ** 2, var / data.n) <= bound, where
+                fits += 1
+        assert fits == 34

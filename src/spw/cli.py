@@ -114,9 +114,12 @@ def _parse_spans(items: list[str], what: str, example: str) -> dict[int, tuple[f
             _, rest = item.split("=", 1)
             label, span = rest.split(":", 1)
             lo, hi = span.split(",")
-            spans[int(label)] = (float(lo), float(hi))
+            key, value = int(label), (float(lo), float(hi))
         except (ValueError, IndexError):
             raise ConfigError(f"cannot parse {what} {item!r}; expected {example}")
+        if key in spans:
+            raise ConfigError(f"{what} {item!r} repeats label {key}")
+        spans[key] = value
     return spans
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     EmptyDataset,
     FlavorMismatch,
@@ -98,26 +99,27 @@ class Dataset:
         treatments: Iterable[int] | None = None,
         propensity: Sequence[float] | None = None,
     ) -> "Dataset":
-        y = _floats(y, "y")
+        y = _dims(_floats(y, "y"), "y")
         if y.size == 0:
             raise EmptyDataset()
-        w = _labels(w, "w", UnknownTreatmentLabel)
+        w = _dims(_labels(w, "w", UnknownTreatmentLabel), "w")
         negative = w < 0
         if np.any(negative):
             bad = int(np.argmax(negative))
             raise UnknownTreatmentLabel(int(w[bad]), row=bad + 1)
         declared = _declare_treatments(w, treatments)
         if mode == FINITE:
-            x_labels, x = np.unique(_labels(x, "x", _bad_stratum), return_inverse=True)
+            x = _dims(_labels(x, "x", _bad_stratum), "x")
+            x_labels, x = np.unique(x, return_inverse=True)
             x = x.astype(np.int64)
         elif mode == LARGE:
-            x, x_labels = _floats(x, "x"), None
+            x, x_labels = _dims(_floats(x, "x"), "x", (1, 2)), None
         else:
             raise FlavorMismatch(f"unknown dataset mode {mode!r}")
-        e = None if propensity is None else _floats(propensity, "propensity")
+        e = None if propensity is None else _dims(_floats(propensity, "propensity"), "propensity")
         for column, arr in (("w", w), ("x", x), ("propensity", e)):
-            if arr is not None and _rows(arr) != _rows(y):
-                raise DataError(f"column {column!r} has {_rows(arr)} rows where y has {_rows(y)}")
+            if arr is not None and len(arr) != len(y):
+                raise DataError(f"column {column!r} has {len(arr)} rows where y has {len(y)}")
         for arr in (y, w, x, x_labels, e):
             if arr is not None:
                 arr.flags.writeable = False
@@ -154,9 +156,12 @@ def _floats(values, column: str) -> np.ndarray:
     return arr
 
 
-def _rows(arr: np.ndarray) -> int:
-    """The length of a column's first axis; a scalar has no rows."""
-    return arr.shape[0] if arr.ndim else 0
+def _dims(arr: np.ndarray, column: str, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """``arr`` if it has one of the ``ndims`` dimensions; else ``DataError``."""
+    if arr.ndim not in ndims:
+        want = " or ".join(f"{d}-D" for d in ndims)
+        raise DataError(f"column {column!r} has shape {arr.shape}; expected a {want} array")
+    return arr
 
 
 def _labels(values, column: str, non_integer) -> np.ndarray:
@@ -192,11 +197,25 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def _bad_treatment(value, position: int) -> ConfigError:
+    return ConfigError(
+        f"declared treatment {value!r} (entry {position}) is not an integer in 0 .. 2**63 - 1"
+    )
+
+
 def _declare_treatments(w: np.ndarray, treatments) -> tuple[int, ...]:
     observed = _sorted_unique(w).tolist()
     if treatments is None:
         return tuple(observed)
-    declared = tuple(sorted(int(t) for t in treatments))
+    given = np.asarray(list(treatments))
+    try:
+        labels = _labels(given, "treatments", _bad_treatment)
+    except NonFiniteValue as exc:
+        raise _bad_treatment(given.tolist()[exc.row - 1], exc.row) from None
+    if np.any(labels < 0):
+        i = int(np.argmax(labels < 0))
+        raise _bad_treatment(labels[i].item(), i + 1)
+    declared = tuple(_sorted_unique(labels).tolist())
     extra = sorted(set(observed) - set(declared))
     if extra:
         raise UnknownTreatmentLabel(extra[0], row=int(np.argmax(w == extra[0])) + 1)

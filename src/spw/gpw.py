@@ -10,7 +10,7 @@ alternative non-inverse estimators from the same moment calculus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,39 +36,23 @@ DEGREE_LIMIT = 50
 class BasisSpec:
     """Basis map x -> Z(x) in R^dim used to summarize effect heterogeneity.
 
-    The built-in constructors build Z from the whole covariate array at
-    once; ``linear`` and ``polynomial`` need a scalar covariate and raise
-    ``ConfigError`` on any other. Vector covariates take a custom ``fn``
-    over rows.
+    ``fn`` maps the float covariate array, (n,) or (n, p), to the (n, dim)
+    basis matrix. ``linear`` and ``polynomial`` need a scalar covariate
+    and raise ``ConfigError`` on any other.
     """
 
-    fn: Callable[[object], Sequence[float]]
+    fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     name: str = "custom"
-    # Array form of ``fn`` over the covariate array; set by the built-ins.
-    _columns: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @classmethod
-    def _builtin(cls, fn, dim: int, name: str, columns) -> "BasisSpec":
-        spec = cls(fn=fn, dim=dim, name=name)
-        object.__setattr__(spec, "_columns", columns)
-        return spec
 
     @classmethod
     def constant(cls) -> "BasisSpec":
-        return cls._builtin(
-            lambda x: (1.0,), 1, "const", lambda x: np.ones((x.shape[0], 1))
-        )
+        return cls(lambda x: np.ones((x.shape[0], 1)), 1, "const")
 
     @classmethod
     def linear(cls) -> "BasisSpec":
-        return cls._builtin(
-            lambda x: (1.0, float(x)),
-            2,
-            "linear",
-            lambda x: np.column_stack((np.ones(x.shape[0]), _scalar(x, "linear"))),
+        return cls(
+            lambda x: np.column_stack((np.ones(x.shape[0]), _scalar(x, "linear"))), 2, "linear"
         )
 
     @classmethod
@@ -78,19 +62,16 @@ class BasisSpec:
         if degree > DEGREE_LIMIT:
             raise ConfigError(f"polynomial degree {degree} is above the limit {DEGREE_LIMIT}")
         name = f"poly:{degree}"
-        return cls._builtin(
-            lambda x: tuple(float(x) ** k for k in range(degree + 1)),
-            degree + 1,
-            name,
-            lambda x: _scalar(x, name)[:, None] ** np.arange(degree + 1.0),
+        return cls(
+            lambda x: _scalar(x, name)[:, None] ** np.arange(degree + 1.0), degree + 1, name
         )
 
     def matrix(self, data: Dataset) -> np.ndarray:
-        x = np.asarray(data.x)
-        if self._columns is not None:
-            return self._columns(x.astype(float, copy=False))
-        rows = [self.fn(xi) for xi in x]
-        z = np.asarray(rows, dtype=float).reshape(data.n, self.dim)
+        z = np.ascontiguousarray(self.fn(np.asarray(data.x, dtype=float)), dtype=float)
+        if z.shape != (data.n, self.dim):
+            raise ConfigError(
+                f"basis {self.name!r} gave a matrix of shape {z.shape}, not {(data.n, self.dim)}"
+            )
         return z
 
 
@@ -126,7 +107,7 @@ def _propensity_values(data: Dataset, e) -> np.ndarray:
     if e is None:
         values = np.asarray(data.propensity, dtype=float)
     elif callable(e):
-        values = np.asarray([float(e(xi)) for xi in np.asarray(data.x)], dtype=float)
+        values = np.asarray(e(np.asarray(data.x, dtype=float)), dtype=float)
     else:
         values = np.asarray(e, dtype=float)
     if values.shape != (data.n,):
@@ -191,8 +172,9 @@ def gpw_estimate(data: Dataset, e, basis: BasisSpec, nu: float = 1.0) -> GpwFit:
 
     The coefficient solves the sample moment
     E_n[(e(1-e))^nu Z {(W - e) Y - e(1-e) Z'beta}] = 0. ``e`` may be a
-    callable on the covariate, an array of per-row values, or None to
-    use the dataset's propensity column.
+    callable on the float covariate array, as ``BasisSpec.fn`` is, an
+    array of per-row values, or None to use the dataset's propensity
+    column.
     """
     _check_nu(nu)
     z, ev = _design(data, e, basis)

@@ -243,6 +243,15 @@ class TestFpw:
         assert f"error (config): {what}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_bounds_label_exit_2(self, finite_csv, tmp_path, capsys):
+        # The last of the two used to win silently, while manifest.json
+        # echoed both.
+        out = tmp_path / "fpw"
+        flags = ["--bounds", "w=0:6,14", "--bounds", "w=1:13,27", "--bounds", "w=1:0,30"]
+        assert main(["fpw", "--data", str(finite_csv), *flags, "--out", str(out)]) == 2
+        assert "bounds spec 'w=1:0,30' repeats label 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTest:
     def test_happy_path(self, finite_csv, tmp_path):
@@ -304,6 +313,14 @@ class TestTest:
             )
             outs.append((out / "pvalues.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_repeated_lambda_box_label_exit_2(self, finite_csv, tmp_path, capsys):
+        out = tmp_path / "test"
+        argv = ["test", "--data", str(finite_csv), "--grid", "0:20:1", "--out", str(out)]
+        argv += ["--lambda-box", "k=0:0.1,0.3", "--lambda-box", "k=1:0.7,0.9"]
+        assert main([*argv, "--lambda-box", "k=0:0.2,0.2"]) == 2
+        assert "lambda box 'k=0:0.2,0.2' repeats label 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _run(finite_csv, out, *extra):

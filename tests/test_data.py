@@ -11,6 +11,7 @@ from spw import data as spw_data
 from spw.data import Dataset, RngHandle, build_strata, load_csv, write_csv
 from spw.errors import (
     SpwError,
+    ConfigError,
     DataError,
     EmptyDataset,
     FlavorMismatch,
@@ -342,6 +343,75 @@ class TestMisc:
         assert data.x_labels.tolist() == [-(2**63), 2**62]
         data = Dataset.from_arrays([1.0, 2.0], [1, 0], np.array([2**63 - 1, 0], dtype=np.uint64))
         assert data.x_labels.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "column, mode, value, shape",
+        [
+            ("y", "finite", [[1.0], [2.0], [3.0]], (3, 1)),
+            ("y", "finite", 5.0, ()),
+            ("w", "finite", [[1], [0], [1]], (3, 1)),
+            ("w", "finite", 1, ()),
+            ("x", "finite", np.ones((3, 2)), (3, 2)),
+            ("x", "finite", 1, ()),
+            ("x", "large", np.ones((3, 1, 1)), (3, 1, 1)),
+            ("x", "large", 0.5, ()),
+            ("propensity", "large", [[0.5]] * 3, (3, 1)),
+            ("propensity", "large", 0.5, ()),
+        ],
+        ids=[
+            "y-2d", "y-scalar", "w-2d", "w-scalar", "finite-x-2d", "finite-x-scalar",
+            "large-x-3d", "large-x-scalar", "propensity-2d", "propensity-scalar",
+        ],
+    )
+    def test_column_dimensions_checked(self, column, mode, value, shape):
+        # y and w of shape (3, 1) were stored 2-D, a finite x of shape (3, 2)
+        # gave (3, 2) stratum codes, and a scalar y gave a Dataset whose n
+        # raised IndexError.
+        args = dict(y=[1.0, 2.0, 3.0], w=[1, 0, 1], x=[1, 1, 1], propensity=None)
+        if mode == "large":
+            args["propensity"] = [0.5] * 3
+        args[column] = value
+        with pytest.raises(DataError) as err:
+            Dataset.from_arrays(
+                args["y"], args["w"], args["x"], mode=mode, propensity=args["propensity"]
+            )
+        assert type(err.value) is DataError
+        want = "1-D or 2-D" if (column, mode) == ("x", "large") else "1-D"
+        assert str(err.value) == f"column {column!r} has shape {shape}; expected a {want} array"
+
+    def test_all_scalar_columns_rejected(self):
+        with pytest.raises(DataError, match="column 'y' has shape"):
+            Dataset.from_arrays(5.0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "treatments, shown",
+        [
+            ([0, 1.5], "1.5"),
+            ([0, 1, np.nan], "nan"),
+            ([None, 1], "None"),
+            ([0, 1, -np.inf], "-inf"),
+            ([0, 1, -1], "-1"),
+            ([0, 1, 1e19], "1e+19"),
+            (np.array([0, 1, 2**63], dtype=np.uint64), "9223372036854775808"),
+        ],
+        ids=["fraction", "nan", "none", "-inf", "negative", "1e19", "uint64-2^63"],
+    )
+    def test_bad_declared_treatment_rejected(self, treatments, shown):
+        # 1.5 was truncated to 1, nan raised a bare ValueError, and -1 was
+        # declared although w may not hold it.
+        with pytest.raises(ConfigError) as err:
+            Dataset.from_arrays([1.0, 2.0], [1, 0], [1, 1], treatments=treatments)
+        assert str(err.value).startswith(f"declared treatment {shown} ")
+
+    @pytest.mark.parametrize(
+        "treatments, declared",
+        [([0, 1, True], (0, 1)), ([1, 0, 1], (0, 1)), ((2, 1.0, 0, 2), (0, 1, 2))],
+        ids=["bool", "repeat", "mixed"],
+    )
+    def test_declared_treatments_sorted_unique(self, treatments, declared):
+        data = Dataset.from_arrays([1.0, 2.0], [1, 0], [1, 1], treatments=treatments)
+        assert data.treatments == declared
+        assert all(type(t) is int for t in data.treatments)
 
     @pytest.mark.parametrize("mode", ["finite", "large"])
     def test_mode_follows_stratum_labels(self, mode):

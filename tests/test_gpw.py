@@ -129,9 +129,7 @@ class TestGpwEstimate:
         data = _random_dataset(rng)
         basis = BasisSpec.linear()
         a_mat = np.array([[2.0, 1.0], [0.5, -1.0]])
-        rebased = BasisSpec(
-            fn=lambda x: tuple(a_mat @ np.array([1.0, float(x)])), dim=2
-        )
+        rebased = BasisSpec(fn=lambda x: np.column_stack((np.ones_like(x), x)) @ a_mat.T, dim=2)
         fit = gpw_estimate(data, None, basis, nu=1.0)
         fit2 = gpw_estimate(data, None, rebased, nu=1.0)
         cate = basis.matrix(data) @ fit.beta
@@ -141,7 +139,7 @@ class TestGpwEstimate:
     def test_singular_design_detected(self):
         rng = np.random.default_rng(31)
         data = _random_dataset(rng, n=50)
-        collinear = BasisSpec(fn=lambda x: (1.0, 2.0), dim=2)
+        collinear = BasisSpec(fn=lambda x: np.tile((1.0, 2.0), (x.shape[0], 1)), dim=2)
         with pytest.raises(SingularDesign):
             gpw_estimate(data, None, collinear, nu=1.0)
 
@@ -221,6 +219,42 @@ class TestGpwEstimate:
         with pytest.raises(DenominatorZero):
             fit(data)
 
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda d, e: gpw_estimate(d, e, BasisSpec.linear(), nu=1.0),
+            lambda d, e: gpw_as_weighted_ipw(d, e, BasisSpec.linear(), nu=0.0),
+            *(lambda d, e, v=v: alt_estimate(d, e, CONST, v) for v in ALT_VARIANTS),
+        ],
+        ids=["gpw", "weighted_ipw", *ALT_VARIANTS],
+    )
+    def test_callable_propensity_takes_the_covariate_array(self, fit):
+        data = _random_dataset(np.random.default_rng(37), n=80)
+        calls = []
+
+        def e(x):
+            calls.append(x)
+            return 0.05 + 0.9 * x
+
+        got = fit(data, e)
+        assert len(calls) == 1 and calls[0].tobytes() == data.x.tobytes()
+        ref = fit(data, e(data.x))
+        assert got.beta.tobytes() == ref.beta.tobytes()
+        assert got.sigma.tobytes() == ref.sigma.tobytes()
+
+    @pytest.mark.parametrize(
+        "e, error",
+        [
+            (lambda x: 0.5, ConfigError),
+            (lambda x: np.where(x > 0.5, 1.0, 0.5), PropensityOnBoundary),
+        ],
+        ids=["scalar", "boundary"],
+    )
+    def test_callable_propensity_result_checked(self, e, error):
+        data = _random_dataset(np.random.default_rng(41), n=50)
+        with pytest.raises(error):
+            gpw_estimate(data, e, CONST, nu=1.0)
+
     @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_nu_rejected(self, nu):
         data = _random_dataset(np.random.default_rng(5), n=50)
@@ -274,7 +308,7 @@ class TestPate:
         rng = np.random.default_rng(3)
         data = _random_dataset(rng, n=60)
         fit = GpwFit(np.array([3.0, -2.0]), np.eye(2), 1.0, 60, 1.0)
-        basis = BasisSpec(fn=lambda x: (1.0, 0.5), dim=2)
+        basis = BasisSpec(fn=lambda x: np.tile((1.0, 0.5), (x.shape[0], 1)), dim=2)
         out = pate_estimate(fit, data, basis)
         assert out["estimate"] == pytest.approx(2.0, abs=1e-14)
 
@@ -333,13 +367,22 @@ class TestAltEstimators:
         np.testing.assert_allclose(fit.beta, oracle, rtol=1e-8)
 
 
-def _per_row(basis, data):
-    rows = [basis.fn(xi) for xi in np.asarray(data.x)]
-    return np.asarray(rows, dtype=float).reshape(data.n, basis.dim)
-
-
 class TestBasisMatrix:
     """Array-built bases against the per-row map they replaced."""
+
+    @staticmethod
+    def _per_row(basis, data):
+        """Z of a built-in basis from the per-row map it was first written as."""
+
+        def row(x):
+            if basis.name == "const":
+                return (1.0,)
+            if basis.name == "linear":
+                return (1.0, float(x))
+            return tuple(float(x) ** k for k in range(basis.dim))
+
+        rows = [row(xi) for xi in np.asarray(data.x)]
+        return np.asarray(rows, dtype=float).reshape(data.n, basis.dim)
 
     @pytest.fixture(params=["large", "finite"])
     def data(self, request):
@@ -358,14 +401,14 @@ class TestBasisMatrix:
     def test_const_and_linear_exact(self, data, basis):
         z = basis.matrix(data)
         assert z.dtype == np.float64 and z.flags.c_contiguous
-        assert z.tobytes() == _per_row(basis, data).tobytes()
+        assert z.tobytes() == self._per_row(basis, data).tobytes()
 
     @pytest.mark.parametrize("degree", range(9))
     def test_polynomial_within_rounding(self, data, degree):
         basis = BasisSpec.polynomial(degree)
         z = basis.matrix(data)
         assert z.shape == (data.n, degree + 1)
-        np.testing.assert_allclose(z, _per_row(basis, data), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(z, self._per_row(basis, data), rtol=1e-15, atol=0)
 
     def test_polynomial_at_degree_limit(self, data):
         assert BasisSpec.polynomial(DEGREE_LIMIT).matrix(data).shape == (data.n, DEGREE_LIMIT + 1)
@@ -376,10 +419,24 @@ class TestBasisMatrix:
         with pytest.raises(ConfigError, match=f"polynomial degree {degree} is above the limit"):
             BasisSpec.polynomial(degree)
 
-    def test_custom_fn_keeps_row_path(self, data):
-        basis = dataclasses.replace(BasisSpec.linear(), fn=lambda x: (2.0, float(x) - 1.0))
-        np.testing.assert_array_equal(basis.matrix(data)[:, 0], 2.0)
-        assert basis.matrix(data).tobytes() == _per_row(basis, data).tobytes()
+    def test_replaced_fn_is_used(self, data):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return np.column_stack((np.full(x.shape, 2.0), x - 1.0))
+
+        z = dataclasses.replace(BasisSpec.linear(), fn=fn).matrix(data)
+        x = np.asarray(data.x, dtype=float)
+        assert len(seen) == 1 and seen[0].tobytes() == x.tobytes()
+        np.testing.assert_array_equal(z[:, 0], 2.0)
+        assert z[:, 1].tobytes() == (x - 1.0).tobytes()
+
+    def test_wrong_width_names_the_basis(self, data):
+        # The row path reshaped such rows and raised a bare ValueError.
+        basis = BasisSpec(fn=lambda x: np.ones((x.shape[0], 3)), dim=2, name="wide")
+        with pytest.raises(ConfigError, match=r"'wide'.*\(500, 3\).*\(500, 2\)"):
+            basis.matrix(data)
 
     @pytest.mark.parametrize(
         "basis", [BasisSpec.linear(), BasisSpec.polynomial(2)], ids=lambda b: b.name
@@ -393,8 +450,15 @@ class TestBasisMatrix:
         x = np.arange(6.0).reshape(3, 2)
         data = Dataset.from_arrays([1.0, 2.0, 3.0], [1, 0, 1], x, mode="large")
         np.testing.assert_array_equal(BasisSpec.constant().matrix(data), np.ones((3, 1)))
-        custom = BasisSpec(fn=lambda row: (1.0, row[0] * row[1]), dim=2)
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return np.column_stack((np.ones(len(x)), x[:, 0] * x[:, 1]))
+
+        custom = BasisSpec(fn=fn, dim=2)
         np.testing.assert_array_equal(custom.matrix(data), [[1.0, 0.0], [1.0, 6.0], [1.0, 20.0]])
+        assert len(seen) == 1 and seen[0].tobytes() == x.tobytes() and seen[0].shape == (3, 2)
 
 
 class TestNormalQuantile:
